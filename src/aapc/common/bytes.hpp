@@ -24,8 +24,12 @@ class ByteWriter {
   void u64(std::uint64_t v) { append_le(v, 8); }
   /// u32 byte length followed by the raw bytes.
   void str(std::string_view v);
-  /// Raw bytes, no length prefix.
-  void raw(std::string_view v) { out_.append(v); }
+  /// Overwrites 4 already-written bytes at `offset` (a length field
+  /// whose value is known only once the bytes behind it are written).
+  void patch_u32(std::size_t offset, std::uint32_t v);
+  /// Sizes the buffer for `bytes` in total, so appends up to that
+  /// size never reallocate.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   const std::string& bytes() const { return out_; }
   std::string take() { return std::move(out_); }

@@ -1,35 +1,94 @@
 #include "aapc/core/schedule_io.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <sstream>
+#include <charconv>
+#include <cstring>
 
 #include "aapc/common/error.hpp"
 
 namespace aapc::core {
 
+namespace {
+
+std::size_t decimal_digits(std::uint32_t value) {
+  std::size_t digits = 1;
+  while (value >= 10) {
+    value /= 10;
+    ++digits;
+  }
+  return digits;
+}
+
+}  // namespace
+
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count) {
-  std::ostringstream os;
-  os << "{\"machines\":" << machine_count;
+  // One pass of std::to_chars into a buffer sized up front. The size
+  // assumes ranks in [0, machine_count), so it holds every valid
+  // schedule; a rank outside that range grows the buffer instead of
+  // overrunning it. Output is byte-identical to the stream writer it
+  // replaced (pinned by digest in tests/schedule_io_test.cpp).
+  constexpr std::size_t kMaxChunk = 2 * 11 + 4;  // "[-2147483648,...],"
+  const std::string_view kind =
+      schedule.kind == CollectiveKind::kAlltoall
+          ? std::string_view()
+          : std::string_view(collective_kind_name(schedule.kind));
+  const std::size_t rank_chars = decimal_digits(
+      machine_count > 1 ? static_cast<std::uint32_t>(machine_count - 1) : 0);
+  std::string out(
+      64 + kind.size() + 3 * static_cast<std::size_t>(schedule.phase_count()) +
+          (2 * rank_chars + 4) *
+              static_cast<std::size_t>(schedule.message_count()) +
+          kMaxChunk,
+      '\0');
+  char* cursor = out.data();
+  auto reserve = [&](std::size_t chars) {
+    const std::size_t used = static_cast<std::size_t>(cursor - out.data());
+    if (out.size() - used < chars) {
+      out.resize(std::max(2 * out.size(), used + chars));
+      cursor = out.data() + used;
+    }
+  };
+  auto put = [&](std::string_view text) {
+    std::memcpy(cursor, text.data(), text.size());
+    cursor += text.size();
+  };
+  auto put_int = [&](std::int32_t value) {
+    cursor = std::to_chars(cursor, cursor + 11, value).ptr;
+  };
+
+  put("{\"machines\":");
+  put_int(machine_count);
   // Alltoall is implicit so pre-kind schedule JSON stays byte-identical
   // (determinism goldens, netd loadgen byte-compare).
-  if (schedule.kind != CollectiveKind::kAlltoall) {
-    os << ",\"kind\":\"" << collective_kind_name(schedule.kind) << '"';
+  if (!kind.empty()) {
+    put(",\"kind\":\"");
+    put(kind);
+    put("\"");
   }
-  os << ",\"phases\":[";
+  put(",\"phases\":[");
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
-    if (p > 0) os << ',';
-    os << '[';
+    reserve(kMaxChunk);
+    if (p > 0) *cursor++ = ',';
+    *cursor++ = '[';
     bool first = true;
     for (const ScheduledMessage& sm : schedule.phase(p)) {
-      if (!first) os << ',';
+      reserve(kMaxChunk);
+      if (!first) *cursor++ = ',';
       first = false;
-      os << '[' << sm.message.src << ',' << sm.message.dst << ']';
+      *cursor++ = '[';
+      put_int(sm.message.src);
+      *cursor++ = ',';
+      put_int(sm.message.dst);
+      *cursor++ = ']';
     }
-    os << ']';
+    *cursor++ = ']';
   }
-  os << "]}";
-  return os.str();
+  reserve(kMaxChunk);
+  put("]}");
+  out.resize(static_cast<std::size_t>(cursor - out.data()));
+  return out;
 }
 
 namespace {

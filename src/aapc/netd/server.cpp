@@ -898,6 +898,18 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
     response.to_canonical = routine.to_canonical;
     response.schedule_json =
         core::schedule_to_json(routine.schedule, topo.machine_count());
+    const std::size_t payload = response_payload_size(response);
+    if (payload > kMaxPayload) {
+      // The answer exists but cannot be framed: say so, rather than let
+      // the encoder's size check blame the request as invalid.
+      reject_counter(ErrorCode::kTooLarge).inc();
+      fail_request(item.conn, request.request_id, ErrorCode::kTooLarge, 0,
+                   "the " + std::to_string(topo.machine_count()) +
+                       "-rank response needs " + std::to_string(payload) +
+                       " payload bytes, above the " +
+                       std::to_string(kMaxPayload) + "-byte frame limit");
+      return;
+    }
     std::string bytes = encode_response(response);
     request_frame_bytes.observe(
         static_cast<double>(item.request_frame_bytes));

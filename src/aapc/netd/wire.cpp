@@ -16,20 +16,33 @@ namespace {
 /// corrupt count fails with a clear message instead of a truncation.
 constexpr std::uint32_t kMaxRanks = 1u << 20;
 
-std::string finish_frame(FrameType type, std::uint64_t request_id,
-                         std::string payload,
-                         std::uint8_t version = kLegacyProtocolVersion) {
-  AAPC_REQUIRE(payload.size() <= kMaxPayload,
-               "frame payload of " << payload.size()
-                                   << " bytes exceeds kMaxPayload");
+/// Offset of the header's payload_length field.
+constexpr std::size_t kPayloadLengthOffset = 16;
+
+/// Starts a frame in one buffer: the header, with a payload length that
+/// finish_frame fills in, then the payload is written behind it, so no
+/// encoder copies its payload a second time. `payload_bytes` sizes the
+/// buffer: exact for every layout but a request's neighbor block, which
+/// grows it.
+ByteWriter begin_frame(FrameType type, std::uint64_t request_id,
+                       std::size_t payload_bytes,
+                       std::uint8_t version = kLegacyProtocolVersion) {
   ByteWriter w;
+  w.reserve(kHeaderSize + payload_bytes);
   w.u32(kMagic);
   w.u8(version);
   w.u8(static_cast<std::uint8_t>(type));
   w.u16(0);  // reserved
   w.u64(request_id);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.raw(payload);
+  w.u32(0);  // payload_length, patched by finish_frame
+  return w;
+}
+
+std::string finish_frame(ByteWriter& w) {
+  const std::size_t payload = w.size() - kHeaderSize;
+  AAPC_REQUIRE(payload <= kMaxPayload,
+               "frame payload of " << payload << " bytes exceeds kMaxPayload");
+  w.patch_u32(kPayloadLengthOffset, static_cast<std::uint32_t>(payload));
   return w.take();
 }
 
@@ -73,6 +86,8 @@ const char* error_code_name(ErrorCode code) {
       return "internal";
     case ErrorCode::kProtocol:
       return "protocol";
+    case ErrorCode::kTooLarge:
+      return "too_large";
   }
   return "unknown";
 }
@@ -81,7 +96,10 @@ std::string encode_request(const RequestFrame& request) {
   AAPC_REQUIRE(request.kind == core::CollectiveKind::kSparseAlltoall ||
                    request.neighbors.empty(),
                "neighbor sets are only meaningful for sparse_alltoall");
-  ByteWriter w;
+  ByteWriter w = begin_frame(
+      FrameType::kRequest, request.request_id,
+      28 + request.tenant.size() + request.topology_text.size(),
+      kProtocolVersion);
   w.u64(request.message_bytes);
   w.str(request.tenant);
   w.str(request.topology_text);
@@ -96,24 +114,32 @@ std::string encode_request(const RequestFrame& request) {
       w.u32(static_cast<std::uint32_t>(v));
     }
   }
-  return finish_frame(FrameType::kRequest, request.request_id, w.take(),
-                      kProtocolVersion);
+  return finish_frame(w);
 }
 
 std::string encode_request_v2(const RequestFrame& request) {
   AAPC_REQUIRE(request.kind == core::CollectiveKind::kAlltoall &&
                    request.neighbors.empty(),
                "the v2 request layout can only express alltoall");
-  ByteWriter w;
+  ByteWriter w = begin_frame(
+      FrameType::kRequest, request.request_id,
+      16 + request.tenant.size() + request.topology_text.size());
   w.u64(request.message_bytes);
   w.str(request.tenant);
   w.str(request.topology_text);
-  return finish_frame(FrameType::kRequest, request.request_id, w.take(),
-                      kLegacyProtocolVersion);
+  return finish_frame(w);
+}
+
+std::size_t response_payload_size(const ResponseFrame& response) {
+  // flags u8 x4, shard u32, hash u64, epoch u64, rank count u32, ranks,
+  // JSON length u32, JSON.
+  return 4 + 4 + 8 + 8 + 4 + 4 * response.to_canonical.size() + 4 +
+         response.schedule_json.size();
 }
 
 std::string encode_response(const ResponseFrame& response) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kResponse, response.request_id,
+                             response_payload_size(response));
   w.u8(response.cache_hit ? 1 : 0);
   w.u8(response.coalesced ? 1 : 0);
   w.u8(response.stale ? 1 : 0);
@@ -126,26 +152,29 @@ std::string encode_response(const ResponseFrame& response) {
     w.u32(static_cast<std::uint32_t>(rank));
   }
   w.str(response.schedule_json);
-  return finish_frame(FrameType::kResponse, response.request_id, w.take());
+  return finish_frame(w);
 }
 
 std::string encode_error(const ErrorFrame& error) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kError, error.request_id,
+                             12 + error.message.size());
   w.u32(static_cast<std::uint32_t>(error.code));
   w.u32(error.retry_after_ms);
   w.str(error.message);
-  return finish_frame(FrameType::kError, error.request_id, w.take());
+  return finish_frame(w);
 }
 
 std::string encode_metrics_request(std::uint64_t request_id) {
-  return finish_frame(FrameType::kMetricsRequest, request_id, std::string());
+  ByteWriter w = begin_frame(FrameType::kMetricsRequest, request_id, 0);
+  return finish_frame(w);
 }
 
 std::string encode_metrics_response(std::uint64_t request_id,
                                     std::string_view json) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kMetricsResponse, request_id,
+                             4 + json.size());
   w.str(json);
-  return finish_frame(FrameType::kMetricsResponse, request_id, w.take());
+  return finish_frame(w);
 }
 
 RequestFrame decode_request(const Frame& frame) {
@@ -245,7 +274,7 @@ ErrorFrame decode_error(const Frame& frame) {
     ErrorFrame error;
     error.request_id = frame.header.request_id;
     const std::uint32_t code = r.u32();
-    if (code < 1 || code > 7) {
+    if (code < 1 || code > static_cast<std::uint32_t>(ErrorCode::kTooLarge)) {
       throw ProtocolError("unknown error code " + std::to_string(code));
     }
     error.code = static_cast<ErrorCode>(code);
@@ -257,22 +286,22 @@ ErrorFrame decode_error(const Frame& frame) {
 }
 
 std::string encode_churn_event(const ChurnEventFrame& event) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kChurnEvent, event.request_id, 16);
   w.u8(static_cast<std::uint8_t>(event.kind));
   w.u8(0);  // reserved
   w.u16(0);
   w.u32(static_cast<std::uint32_t>(event.link));
   // f64 crosses the wire as its IEEE-754 bit pattern in a u64.
   w.u64(std::bit_cast<std::uint64_t>(event.factor));
-  return finish_frame(FrameType::kChurnEvent, event.request_id, w.take());
+  return finish_frame(w);
 }
 
 std::string encode_churn_ack(const ChurnAckFrame& ack) {
-  ByteWriter w;
+  ByteWriter w = begin_frame(FrameType::kChurnAck, ack.request_id, 17);
   w.u64(ack.epoch);
   w.u64(ack.invalidated);
   w.u8(ack.reelected ? 1 : 0);
-  return finish_frame(FrameType::kChurnAck, ack.request_id, w.take());
+  return finish_frame(w);
 }
 
 ChurnEventFrame decode_churn_event(const Frame& frame) {

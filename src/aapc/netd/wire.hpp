@@ -73,6 +73,7 @@ enum class ErrorCode : std::uint32_t {
   kShuttingDown = 5,     // server draining, resubmit elsewhere/later
   kInternal = 6,         // unexpected server-side failure
   kProtocol = 7,         // malformed frame; connection closes after this
+  kTooLarge = 8,         // the answer does not fit in one frame
 };
 
 /// Human-readable name of an error code ("overloaded", ...).
@@ -189,6 +190,10 @@ std::string encode_request(const RequestFrame& request);
 /// an alltoall request with no neighbor sets.
 std::string encode_request_v2(const RequestFrame& request);
 std::string encode_response(const ResponseFrame& response);
+/// Payload bytes encode_response(response) frames. The server checks it
+/// against kMaxPayload before encoding, so an answer too large for one
+/// frame is refused as kTooLarge instead of failing in the encoder.
+std::size_t response_payload_size(const ResponseFrame& response);
 std::string encode_error(const ErrorFrame& error);
 std::string encode_metrics_request(std::uint64_t request_id);
 std::string encode_metrics_response(std::uint64_t request_id,

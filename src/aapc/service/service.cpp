@@ -52,6 +52,15 @@ std::string format_seconds(double seconds) {
 
 }  // namespace
 
+const mpisim::ProgramSet& CompiledRoutine::load_programs() {
+  AAPC_REQUIRE(entry != nullptr, "load_programs() on a routine never served");
+  if (programs.programs.empty()) {
+    programs = mpisim::relabel_program_set(
+        entry->programs, core::invert_permutation(to_canonical));
+  }
+  return programs;
+}
+
 std::uint32_t ScheduleService::size_class(Bytes msize) {
   AAPC_REQUIRE(msize >= 1, "message size must be >= 1 byte");
   // Reject the upper bound here, at request entry: without this, a
@@ -358,8 +367,6 @@ CompiledRoutine ScheduleService::finish(const Canonicalization& canon,
   const std::vector<topology::Rank> from_canonical =
       core::invert_permutation(canon.to_canonical);
   routine.schedule = core::relabel_schedule(entry->schedule, from_canonical);
-  routine.programs = mpisim::relabel_program_set(entry->programs,
-                                                 from_canonical);
   routine.stale = entry->stale;
   routine.entry = std::move(entry);
   routine.to_canonical = canon.to_canonical;

@@ -7,8 +7,8 @@
 //   request (topology, msize)
 //     -> canonicalize            relabeling-invariant identity + rank
 //                                permutation (service/canonical.hpp)
-//     -> sharded LRU cache       hit: rewrite cached artifact into the
-//                                caller's labeling, done
+//     -> sharded LRU cache       hit: rewrite the cached schedule into
+//                                the caller's labeling, done
 //     -> in-flight coalescing    N concurrent misses on one canonical
 //                                key trigger exactly one compilation;
 //                                the rest wait on its shared future
@@ -17,11 +17,15 @@
 //                                hint instead of queueing unboundedly
 //
 // Compiled artifacts live in canonical rank labeling and are immutable;
-// every response rewrites a shared artifact through the caller's rank
-// permutation (core::relabel_schedule, mpisim::relabel_program_set),
-// which preserves contention-freeness because the permutation comes
-// from a tree isomorphism. See docs/SERVICE.md for the architecture,
-// cache-key definition, and backpressure contract.
+// every response rewrites the shared schedule through the caller's rank
+// permutation (core::relabel_schedule), which preserves
+// contention-freeness because the permutation comes from a tree
+// isomorphism. The per-rank programs are rewritten the same way
+// (mpisim::relabel_program_set), but only when a caller asks for them
+// through CompiledRoutine::load_programs(): a front-end that ships the
+// schedule alone never pays for relabeling them. See docs/SERVICE.md
+// for the architecture, cache-key definition, and backpressure
+// contract.
 #pragma once
 
 #include <array>
@@ -85,13 +89,16 @@ struct ServiceOptions {
   bool parallel_assignment = true;
 };
 
-/// A served routine, rewritten into the caller's rank labeling.
+/// A served routine, rewritten into the caller's rank labeling. The
+/// schedule is rewritten when the routine is served; the programs only
+/// on the first load_programs() call.
 struct CompiledRoutine {
   /// The shared canonical artifact (schedule, sync plan, programs).
   CompiledEntryPtr entry;
   /// Phase schedule in the caller's ranks.
   core::Schedule schedule;
-  /// Lowered per-rank programs in the caller's ranks.
+  /// Lowered per-rank programs in the caller's ranks, memoized by
+  /// load_programs(): empty until the first call.
   mpisim::ProgramSet programs;
   /// caller rank -> canonical rank (entry->schedule labeling).
   std::vector<topology::Rank> to_canonical;
@@ -107,6 +114,11 @@ struct CompiledRoutine {
   std::uint64_t epoch = 0;
   /// End-to-end wall-clock latency of this request.
   double service_seconds = 0;
+
+  /// The lowered per-rank programs in the caller's ranks: relabels
+  /// entry->programs through to_canonical on the first call, then
+  /// returns the memo in `programs`.
+  const mpisim::ProgramSet& load_programs();
 };
 
 /// Point-in-time service counters (monotonic unless noted). Assembled

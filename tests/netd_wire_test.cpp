@@ -161,6 +161,32 @@ TEST(NetdWireTest, ResponseRoundTrip) {
   EXPECT_EQ(decoded.schedule_json, response.schedule_json);
 }
 
+TEST(NetdWireTest, ResponsePayloadSizeIsTheEncodedPayload) {
+  ResponseFrame response;
+  response.to_canonical = {2, 0, 1, 3};
+  response.schedule_json = "{\"machines\":4,\"phases\":[]}";
+  const std::string bytes = encode_response(response);
+  EXPECT_EQ(bytes.size(), kHeaderSize + response_payload_size(response));
+  EXPECT_EQ(decode_single(bytes).header.payload_length,
+            response_payload_size(response));
+}
+
+TEST(NetdWireTest, ResponseSizeCheckAtTheFrameLimit) {
+  // A 1536-rank answer whose JSON fills the frame exactly still
+  // encodes; one byte more is over the limit, which the server must
+  // catch with response_payload_size before encoding (the encoder
+  // itself only throws InvalidArgument, which would blame the client).
+  ResponseFrame response;
+  response.to_canonical.assign(1536, 0);
+  response.schedule_json.assign(
+      kMaxPayload - response_payload_size(response), 'x');
+  EXPECT_EQ(response_payload_size(response), kMaxPayload);
+  EXPECT_EQ(encode_response(response).size(), kHeaderSize + kMaxPayload);
+  response.schedule_json.push_back('x');
+  EXPECT_GT(response_payload_size(response), kMaxPayload);
+  EXPECT_THROW((void)encode_response(response), InvalidArgument);
+}
+
 TEST(NetdWireTest, ChurnEventRoundTrip) {
   ChurnEventFrame event;
   event.request_id = 13;
@@ -227,6 +253,23 @@ TEST(NetdWireTest, ErrorRoundTrip) {
   EXPECT_EQ(decoded.code, ErrorCode::kOverloaded);
   EXPECT_EQ(decoded.retry_after_ms, 125u);
   EXPECT_EQ(decoded.message, error.message);
+}
+
+TEST(NetdWireTest, TooLargeErrorRoundTrip) {
+  ErrorFrame error;
+  error.request_id = 12;
+  error.code = ErrorCode::kTooLarge;
+  error.message = "the 1536-rank response needs 17000000 payload bytes";
+  const ErrorFrame decoded =
+      decode_error(decode_single(encode_error(error)));
+  EXPECT_EQ(decoded.request_id, 12u);
+  EXPECT_EQ(decoded.code, ErrorCode::kTooLarge);
+  EXPECT_EQ(decoded.message, error.message);
+  EXPECT_STREQ(error_code_name(ErrorCode::kTooLarge), "too_large");
+  // The decode range ends at the last defined code.
+  std::string bytes = encode_error(error);
+  patch_u32(bytes, kHeaderSize, 9);
+  EXPECT_THROW((void)decode_error(decode_single(bytes)), ProtocolError);
 }
 
 TEST(NetdWireTest, MetricsRoundTrip) {

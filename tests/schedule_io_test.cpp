@@ -1,7 +1,10 @@
 // Tests for the JSON schedule serialization.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "aapc/common/error.hpp"
+#include "aapc/core/collectives.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
@@ -10,6 +13,7 @@
 namespace aapc::core {
 namespace {
 
+using topology::make_fat_tree;
 using topology::make_paper_figure1;
 using topology::make_single_switch;
 using topology::Topology;
@@ -97,6 +101,80 @@ TEST(ScheduleIoTest, LargeScheduleRoundTrip) {
       schedule_to_json(original, 16), 16);
   EXPECT_EQ(loaded.message_count(), original.message_count());
   EXPECT_TRUE(verify_schedule(topo, loaded).ok);
+}
+
+// The stream writer schedule_to_json replaced, kept as the reference
+// its single-pass output must equal byte for byte.
+std::string reference_json(const Schedule& schedule,
+                           std::int32_t machine_count) {
+  std::ostringstream os;
+  os << "{\"machines\":" << machine_count;
+  if (schedule.kind != CollectiveKind::kAlltoall) {
+    os << ",\"kind\":\"" << collective_kind_name(schedule.kind) << '"';
+  }
+  os << ",\"phases\":[";
+  for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
+    if (p > 0) os << ',';
+    os << '[';
+    bool first = true;
+    for (const ScheduledMessage& sm : schedule.phase(p)) {
+      if (!first) os << ',';
+      first = false;
+      os << '[' << sm.message.src << ',' << sm.message.dst << ']';
+    }
+    os << ']';
+  }
+  os << "]}";
+  return os.str();
+}
+
+TEST(ScheduleIoTest, MatchesTheReferenceWriter) {
+  const Topology topo = make_fat_tree(2, 2, 30);
+  for (const Schedule& schedule :
+       {build_aapc_schedule(topo), build_reduce_scatter_schedule(topo)}) {
+    EXPECT_EQ(schedule_to_json(schedule, topo.machine_count()),
+              reference_json(schedule, topo.machine_count()));
+  }
+  // The output buffer is sized for ranks below machine_count; wider
+  // ranks (and a negative count) must grow it, never overrun it.
+  Schedule wide = Schedule::from_phase_lists(
+      {std::vector<Message>(200, Message{2147483647, -2147483647 - 1}),
+       {Message{0, 1}}});
+  wide.kind = CollectiveKind::kSparseAlltoall;
+  for (const std::int32_t machines : {-7, 0, 1, 2}) {
+    EXPECT_EQ(schedule_to_json(wide, machines), reference_json(wide, machines));
+  }
+}
+
+// 64-bit FNV-1a, the digest perfbench keeps of each expected answer.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The exact bytes netd ships for the 256-host fat tree, pinned by
+// digest: clients byte-compare responses, so any drift in the writer
+// (separators, the implicit alltoall kind, multi-digit ranks) is a
+// wire change, not a refactor.
+TEST(ScheduleIoTest, FatTreeAlltoallBytesPinned) {
+  const Topology topo = make_fat_tree(4, 4, 16);
+  const std::string json =
+      schedule_to_json(build_aapc_schedule(topo), topo.machine_count());
+  EXPECT_EQ(json.size(), 621303u);
+  EXPECT_EQ(fnv1a(json), 3513220231403834290ull);
+}
+
+TEST(ScheduleIoTest, FatTreeAllgatherBytesPinned) {
+  const Topology topo = make_fat_tree(4, 4, 16);
+  const std::string json =
+      schedule_to_json(build_allgather_schedule(topo), topo.machine_count());
+  EXPECT_EQ(json.rfind("{\"machines\":256,\"kind\":\"allgather\",", 0), 0u);
+  EXPECT_EQ(json.size(), 597256u);
+  EXPECT_EQ(fnv1a(json), 7862019651711202450ull);
 }
 
 }  // namespace

@@ -139,13 +139,14 @@ TEST(ServiceCollectivesTest, RingKindsServeOptimalSchedulesInCallerRanks) {
   const std::int64_t n = topo.machine_count();
   for (const CollectiveKind kind :
        {CollectiveKind::kAllgather, CollectiveKind::kReduceScatter}) {
-    const CompiledRoutine routine = service.compile(topo, 4096, kind);
+    CompiledRoutine routine = service.compile(topo, 4096, kind);
     EXPECT_EQ(routine.schedule.kind, kind);
     EXPECT_EQ(routine.schedule.phase_count(), n - 1);
     const core::VerifyReport report =
         core::verify_collective_schedule(topo, routine.schedule);
     EXPECT_TRUE(report.ok) << report.summary();
-    EXPECT_EQ(static_cast<std::int64_t>(routine.programs.programs.size()), n);
+    EXPECT_EQ(
+        static_cast<std::int64_t>(routine.load_programs().programs.size()), n);
   }
 }
 

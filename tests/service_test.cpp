@@ -101,15 +101,47 @@ TEST(ScheduleServiceTest, RewrittenProgramsExecuteOnCallerTopology) {
   const Topology base = topology::make_paper_figure1();
   service.compile(base, 16_KiB);  // populate
   const Topology relabeled = shuffled_copy(base, rng);
-  const CompiledRoutine served = service.compile(relabeled, 16_KiB);
+  CompiledRoutine served = service.compile(relabeled, 16_KiB);
   EXPECT_TRUE(served.cache_hit);
   // The relabeled program set runs to completion on the caller's
   // topology with exactly-once delivery (the executor's integrity
   // ledger throws otherwise).
   mpisim::Executor executor(relabeled, simnet::NetworkParams{},
                             mpisim::ExecutorParams{});
-  const mpisim::ExecutionResult result = executor.run(served.programs);
+  const mpisim::ExecutionResult result = executor.run(served.load_programs());
   EXPECT_GT(result.completion_time, 0);
+  EXPECT_TRUE(result.integrity.ok());
+}
+
+TEST(ScheduleServiceTest, ProgramsAreRelabeledOnlyOnDemand) {
+  ScheduleService service;
+  Rng rng(11);
+  const Topology base = topology::make_paper_topology_b();
+  const CompiledRoutine cold = service.compile(base, 64_KiB);
+  EXPECT_TRUE(cold.programs.programs.empty());
+  const Topology relabeled = shuffled_copy(base, rng);
+  CompiledRoutine served = service.compile(relabeled, 64_KiB);
+  ASSERT_TRUE(served.cache_hit);
+  // A hit ships the schedule alone: no programs until asked for.
+  EXPECT_TRUE(served.programs.programs.empty());
+
+  const mpisim::ProgramSet expected = mpisim::relabel_program_set(
+      served.entry->programs, core::invert_permutation(served.to_canonical));
+  const mpisim::ProgramSet& loaded = served.load_programs();
+  ASSERT_EQ(loaded.programs.size(),
+            static_cast<std::size_t>(relabeled.machine_count()));
+  ASSERT_EQ(loaded.programs.size(), expected.programs.size());
+  for (std::size_t r = 0; r < expected.programs.size(); ++r) {
+    EXPECT_EQ(loaded.programs[r].to_string(), expected.programs[r].to_string())
+        << "rank " << r;
+  }
+  // The memo is filled and reused: a second call returns the same set.
+  EXPECT_EQ(&served.load_programs(), &served.programs);
+  EXPECT_EQ(served.programs.programs.size(), expected.programs.size());
+
+  mpisim::Executor executor(relabeled, simnet::NetworkParams{},
+                            mpisim::ExecutorParams{});
+  const mpisim::ExecutionResult result = executor.run(served.load_programs());
   EXPECT_TRUE(result.integrity.ok());
 }
 
