@@ -45,7 +45,7 @@ stp::BridgeNetwork make_star(bool with_backup) {
   const stp::BridgeId switches[] = {s0, s1, s2, s3};
   for (int s = 0; s < 4; ++s) {
     for (int m = 0; m < 8; ++m) {
-      net.add_machine("n" + std::to_string(8 * s + m), switches[s]);
+      net.add_machine(str_cat("n", 8 * s + m), switches[s]);
     }
   }
   return net;

@@ -77,8 +77,8 @@ stp::BridgeNetwork make_edge_star() {
   net.add_bridge_link(s1, s0, 19);
   net.add_bridge_link(s1, s2, 19);
   net.add_machine("c0", s3);
-  for (int m = 0; m < 4; ++m) net.add_machine("a" + std::to_string(m), s0);
-  for (int m = 0; m < 4; ++m) net.add_machine("b" + std::to_string(m), s2);
+  for (int m = 0; m < 4; ++m) net.add_machine(str_cat("a", m), s0);
+  for (int m = 0; m < 4; ++m) net.add_machine(str_cat("b", m), s2);
   return net;
 }
 

@@ -9,6 +9,7 @@
 
 #include "aapc/common/cli.hpp"
 #include "aapc/common/error.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/common/table.hpp"
 #include "aapc/core/assign.hpp"
 #include "aapc/core/global_schedule.hpp"
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
         if (i == j) continue;
         const std::int64_t start = global.group_start(i, j);
         const std::int64_t length = global.group_length(i, j);
-        spans.add_row({"t" + std::to_string(i) + "->t" + std::to_string(j),
+        spans.add_row({str_cat("t", i, "->t", j),
                        std::to_string(start),
                        std::to_string(start + length - 1),
                        std::to_string(length)});

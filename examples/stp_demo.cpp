@@ -9,6 +9,7 @@
 // Run:  ./stp_demo
 #include <iostream>
 
+#include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
 #include "aapc/harness/experiment.hpp"
@@ -39,7 +40,7 @@ int main() {
   int machine = 0;
   for (const stp::BridgeId sw : {sw1, sw2, sw3}) {
     for (int i = 0; i < 6; ++i) {
-      lan.add_machine("n" + std::to_string(machine++), sw);
+      lan.add_machine(str_cat("n", machine++), sw);
     }
   }
 

@@ -10,12 +10,12 @@ void ByteWriter::append_le(std::uint64_t v, int width) {
   }
 }
 
-void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
-  AAPC_REQUIRE(offset + 4 <= out_.size(),
+void patch_u32(std::string& bytes, std::size_t offset, std::uint32_t v) {
+  AAPC_REQUIRE(offset + 4 <= bytes.size(),
                "patch at offset " << offset << " is past the "
-                                  << out_.size() << " written bytes");
+                                  << bytes.size() << " written bytes");
   for (std::size_t i = 0; i < 4; ++i) {
-    out_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    bytes[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
 }
 

@@ -12,21 +12,31 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace aapc {
 
+/// Overwrites 4 already-written bytes of `bytes` at `offset` with `v`,
+/// little-endian (a length field whose value is known only once the
+/// bytes behind it are written).
+void patch_u32(std::string& bytes, std::size_t offset, std::uint32_t v);
+
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Writes into `buffer`'s storage, reusing its capacity; its contents
+  /// are dropped.
+  explicit ByteWriter(std::string buffer) : out_(std::move(buffer)) {
+    out_.clear();
+  }
+
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void u16(std::uint16_t v) { append_le(v, 2); }
   void u32(std::uint32_t v) { append_le(v, 4); }
   void u64(std::uint64_t v) { append_le(v, 8); }
   /// u32 byte length followed by the raw bytes.
   void str(std::string_view v);
-  /// Overwrites 4 already-written bytes at `offset` (a length field
-  /// whose value is known only once the bytes behind it are written).
-  void patch_u32(std::size_t offset, std::uint32_t v);
   /// Sizes the buffer for `bytes` in total, so appends up to that
   /// size never reallocate.
   void reserve(std::size_t bytes) { out_.reserve(bytes); }

@@ -11,83 +11,141 @@ namespace aapc::core {
 
 namespace {
 
-std::size_t decimal_digits(std::uint32_t value) {
-  std::size_t digits = 1;
-  while (value >= 10) {
-    value /= 10;
-    ++digits;
-  }
-  return digits;
+/// One rank's pre-rendered JSON text ("[12," for a source, "34]" for a
+/// destination), copied into the output as one fixed 16-byte block of
+/// which the first `length` bytes count.
+struct RankText {
+  char text[15];
+  std::uint8_t length;
+};
+static_assert(sizeof(RankText) == 16);
+
+RankText render_rank(char open, Rank value, char close) {
+  RankText slot{};
+  char* p = slot.text;
+  if (open != '\0') *p++ = open;
+  p = std::to_chars(p, slot.text + 13, value).ptr;  // at most 11 chars
+  if (close != '\0') *p++ = close;
+  slot.length = static_cast<std::uint8_t>(p - slot.text);
+  return slot;
+}
+
+// The writers below take and return the output cursor, so its address
+// never escapes and it stays in a register across the byte stores.
+char* put(char* at, std::string_view text) {
+  std::memcpy(at, text.data(), text.size());
+  return at + text.size();
+}
+
+char* put(char* at, const RankText& text) {
+  std::memcpy(at, &text, sizeof(text));
+  return at + text.length;
 }
 
 }  // namespace
 
-std::string schedule_to_json(const Schedule& schedule,
-                             std::int32_t machine_count) {
-  // One pass of std::to_chars into a buffer sized up front. The size
-  // assumes ranks in [0, machine_count), so it holds every valid
-  // schedule; a rank outside that range grows the buffer instead of
-  // overrunning it. Output is byte-identical to the stream writer it
-  // replaced (pinned by digest in tests/schedule_io_test.cpp).
-  constexpr std::size_t kMaxChunk = 2 * 11 + 4;  // "[-2147483648,...],"
+void append_schedule_json(std::string& out, const Schedule& schedule,
+                          std::int32_t machine_count,
+                          const std::vector<Rank>* from_canonical) {
+  // One pass into `out`. Every rank a message can name is rendered once
+  // per call into a digit table (caller ranks when relabeling), so a
+  // message costs two fixed-size copies. Space is reserved per phase
+  // for table ranks, which holds every valid schedule without growing;
+  // an identity rank outside the table is rendered on the spot and
+  // reserves for itself, so it grows the buffer instead of overrunning
+  // it. Output is byte-identical to the stream writer this replaced
+  // (pinned by digest in tests/schedule_io_test.cpp).
+  //
+  // ",[-2147483648,-2147483648]", plus a 16-byte block's overhang.
+  constexpr std::size_t kMaxChunk = 48;
   const std::string_view kind =
       schedule.kind == CollectiveKind::kAlltoall
           ? std::string_view()
           : std::string_view(collective_kind_name(schedule.kind));
-  const std::size_t rank_chars = decimal_digits(
-      machine_count > 1 ? static_cast<std::uint32_t>(machine_count - 1) : 0);
-  std::string out(
-      64 + kind.size() + 3 * static_cast<std::size_t>(schedule.phase_count()) +
-          (2 * rank_chars + 4) *
-              static_cast<std::size_t>(schedule.message_count()) +
-          kMaxChunk,
-      '\0');
-  char* cursor = out.data();
-  auto reserve = [&](std::size_t chars) {
-    const std::size_t used = static_cast<std::size_t>(cursor - out.data());
+  const std::size_t ranks =
+      from_canonical != nullptr
+          ? from_canonical->size()
+          : static_cast<std::size_t>(std::max(machine_count, 0));
+  std::vector<RankText> src_text(ranks);
+  std::vector<RankText> dst_text(ranks);
+  for (std::size_t r = 0; r < ranks; ++r) {
+    const Rank label = from_canonical != nullptr ? (*from_canonical)[r]
+                                                 : static_cast<Rank>(r);
+    src_text[r] = render_rank('[', label, ',');
+    dst_text[r] = render_rank('\0', label, ']');
+  }
+  // ",[" + digits + "," + digits + "]" for table ranks.
+  std::size_t rank_chars = 1;
+  for (const RankText& text : dst_text) {
+    rank_chars = std::max<std::size_t>(rank_chars, text.length - 1u);
+  }
+  const std::size_t message_chars = 2 * rank_chars + 4;
+
+  const std::size_t begin = out.size();
+  out.resize(begin + 64 + kind.size() +
+             3 * static_cast<std::size_t>(schedule.phase_count()) +
+             message_chars *
+                 static_cast<std::size_t>(schedule.message_count()) +
+             kMaxChunk);
+  // Grows `out` so `chars` more bytes fit behind `at`; returns `at`'s
+  // place in the grown buffer.
+  auto reserve = [&out](char* at, std::size_t chars) {
+    const std::size_t used = static_cast<std::size_t>(at - out.data());
     if (out.size() - used < chars) {
       out.resize(std::max(2 * out.size(), used + chars));
-      cursor = out.data() + used;
     }
+    return out.data() + used;
   };
-  auto put = [&](std::string_view text) {
-    std::memcpy(cursor, text.data(), text.size());
-    cursor += text.size();
-  };
-  auto put_int = [&](std::int32_t value) {
-    cursor = std::to_chars(cursor, cursor + 11, value).ptr;
+  // Negative ranks wrap to huge indices and miss the table too.
+  auto in_table = [ranks](Rank rank) {
+    return static_cast<std::uint32_t>(rank) < ranks;
   };
 
-  put("{\"machines\":");
-  put_int(machine_count);
+  char* cursor = put(out.data() + begin, "{\"machines\":");
+  cursor = std::to_chars(cursor, cursor + 11, machine_count).ptr;
   // Alltoall is implicit so pre-kind schedule JSON stays byte-identical
   // (determinism goldens, netd loadgen byte-compare).
   if (!kind.empty()) {
-    put(",\"kind\":\"");
-    put(kind);
-    put("\"");
+    cursor = put(put(put(cursor, ",\"kind\":\""), kind), "\"");
   }
-  put(",\"phases\":[");
+  cursor = put(cursor, ",\"phases\":[");
   for (std::int32_t p = 0; p < schedule.phase_count(); ++p) {
-    reserve(kMaxChunk);
+    const PhaseSpan phase = schedule.phase(p);
+    cursor = reserve(cursor, phase.size() * message_chars + kMaxChunk);
     if (p > 0) *cursor++ = ',';
     *cursor++ = '[';
-    bool first = true;
-    for (const ScheduledMessage& sm : schedule.phase(p)) {
-      reserve(kMaxChunk);
-      if (!first) *cursor++ = ',';
-      first = false;
-      *cursor++ = '[';
-      put_int(sm.message.src);
-      *cursor++ = ',';
-      put_int(sm.message.dst);
-      *cursor++ = ']';
+    for (std::size_t i = 0; i < phase.size(); ++i) {
+      if (i > 0) *cursor++ = ',';
+      const Message& m = phase[i].message;
+      if (in_table(m.src) && in_table(m.dst)) {
+        cursor = put(cursor, src_text[static_cast<std::size_t>(m.src)]);
+        cursor = put(cursor, dst_text[static_cast<std::size_t>(m.dst)]);
+        continue;
+      }
+      AAPC_REQUIRE(from_canonical == nullptr,
+                   "schedule rank " << (in_table(m.src) ? m.dst : m.src)
+                                    << " not covered by the relabeling "
+                                    << "permutation (size " << ranks << ")");
+      // Room for this message at its widest and the rest of the phase.
+      cursor = reserve(cursor, (phase.size() - i) * message_chars +
+                                   2 * kMaxChunk);
+      cursor = put(cursor, in_table(m.src)
+                               ? src_text[static_cast<std::size_t>(m.src)]
+                               : render_rank('[', m.src, ','));
+      cursor = put(cursor, in_table(m.dst)
+                               ? dst_text[static_cast<std::size_t>(m.dst)]
+                               : render_rank('\0', m.dst, ']'));
     }
     *cursor++ = ']';
   }
-  reserve(kMaxChunk);
-  put("]}");
+  cursor = put(reserve(cursor, kMaxChunk), "]}");
   out.resize(static_cast<std::size_t>(cursor - out.data()));
+}
+
+std::string schedule_to_json(const Schedule& schedule,
+                             std::int32_t machine_count) {
+  std::string out;
+  append_schedule_json(out, schedule, machine_count);
   return out;
 }
 

@@ -20,6 +20,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "aapc/core/schedule.hpp"
 
@@ -29,6 +30,16 @@ namespace aapc::core {
 /// whitespace dependence for parsing).
 std::string schedule_to_json(const Schedule& schedule,
                              std::int32_t machine_count);
+
+/// Appends the same JSON to `out`, each rank r written as
+/// (*from_canonical)[r] — the schedule relabeled as relabel_schedule
+/// would, without building the relabeled copy. A null `from_canonical`
+/// writes ranks as they are (schedule_to_json is that case). Throws
+/// InvalidArgument when the schedule names a rank the permutation does
+/// not cover; `out` then holds a partial document.
+void append_schedule_json(std::string& out, const Schedule& schedule,
+                          std::int32_t machine_count,
+                          const std::vector<Rank>* from_canonical = nullptr);
 
 /// Parse a schedule from JSON; throws InvalidArgument on malformed
 /// input or ranks outside [0, machines). The embedded machine count

@@ -59,8 +59,8 @@ class EventLoop;
 class Dispatcher;
 
 /// One accepted socket. The event loop owns reads and all socket
-/// teardown; dispatchers only append encoded response bytes under
-/// `mutex` and ask the loop to flush. Once `closed` flips (peer hung
+/// teardown; dispatchers only hand encoded response bytes to `out`
+/// under `mutex` and ask the loop to flush. Once `closed` flips (peer hung
 /// up, write error, shutdown) appends are dropped and counted — a
 /// client that disconnects mid-response costs a counter, not a crash.
 struct Connection {
@@ -99,8 +99,15 @@ struct Server::Impl {
   void refuse_connection(int fd, ErrorCode code, const std::string& message);
 
   // dispatcher side
-  void handle_compile(const DispatchItem& item);
-  void deliver(const ConnectionPtr& conn, std::string bytes);
+  /// Serves one request, writing its frame in `frame`, the calling
+  /// dispatcher thread's reused buffer.
+  void handle_compile(const DispatchItem& item, std::string& frame);
+  /// Hands one encoded frame to the connection. `frame` is swapped into
+  /// Connection::out when that buffer is drained and no larger, so the
+  /// connection's old buffer comes back to be reused for the next frame
+  /// (a dispatcher never inherits a connection's pipelined backlog),
+  /// and is appended otherwise; it returns empty either way.
+  void deliver(const ConnectionPtr& conn, std::string& frame);
   void fail_request(const ConnectionPtr& conn, std::uint64_t request_id,
                     ErrorCode code, double retry_after_seconds,
                     const std::string& message);
@@ -581,6 +588,9 @@ class Dispatcher {
 
  private:
   void worker() {
+    // This thread's response-frame buffer: a steady stream of hits
+    // writes every frame into storage that is already faulted in.
+    std::string frame;
     while (true) {
       DispatchItem item;
       bool abandon;
@@ -600,7 +610,7 @@ class Dispatcher {
                               "server shut down before this request was "
                               "dispatched");
       } else {
-        server_->handle_compile(item);
+        server_->handle_compile(item, frame);
       }
       item.conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
       server_->in_flight_requests.fetch_sub(1, std::memory_order_acq_rel);
@@ -841,13 +851,20 @@ void Server::Impl::accept_loop() {
   }
 }
 
-void Server::Impl::deliver(const ConnectionPtr& conn, std::string bytes) {
+void Server::Impl::deliver(const ConnectionPtr& conn, std::string& frame) {
   bool dropped;
   {
     const std::lock_guard<std::mutex> lock(conn->mutex);
     dropped = conn->closed;
-    if (!dropped) conn->out.append(bytes);
+    if (!dropped && conn->out_offset == conn->out.size() &&
+        conn->out.capacity() <= frame.capacity()) {
+      conn->out.swap(frame);
+      conn->out_offset = 0;
+    } else if (!dropped) {
+      conn->out.append(frame);
+    }
   }
+  frame.clear();
   if (dropped) {
     response_drops.inc();
     return;
@@ -864,10 +881,12 @@ void Server::Impl::fail_request(const ConnectionPtr& conn,
   error.code = code;
   error.retry_after_ms = to_retry_ms(retry_after_seconds);
   error.message = message;
-  deliver(conn, encode_error(error));
+  std::string bytes = encode_error(error);
+  deliver(conn, bytes);
 }
 
-void Server::Impl::handle_compile(const DispatchItem& item) {
+void Server::Impl::handle_compile(const DispatchItem& item,
+                                  std::string& frame) {
   const RequestFrame& request = item.request;
   topology::Topology topo;
   service::Canonicalization canon;
@@ -884,24 +903,31 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
       canon.hash % static_cast<std::uint64_t>(services.size()));
   shard_requests[shard]->inc();
   try {
-    const service::CompiledRoutine routine =
-        services[shard]->compile(topo, request.message_bytes, canon,
-                                 request.kind, request.neighbors);
+    // The cached schedule stays in canonical ranks: its caller-labeled
+    // JSON is written straight into the frame behind the header.
+    service::ServedEntry served =
+        services[shard]->serve(topo, request.message_bytes, canon,
+                               request.kind, request.neighbors);
+    const std::vector<topology::Rank> from_canonical =
+        core::invert_permutation(served.to_canonical);
     ResponseFrame response;
     response.request_id = request.request_id;
-    response.cache_hit = routine.cache_hit;
-    response.coalesced = routine.coalesced;
-    response.stale = routine.stale;
-    response.epoch = routine.epoch;
+    response.cache_hit = served.cache_hit;
+    response.coalesced = served.coalesced;
+    response.stale = served.stale;
+    response.epoch = served.epoch;
     response.shard = shard;
     response.canonical_hash = canon.hash;
-    response.to_canonical = routine.to_canonical;
-    response.schedule_json =
-        core::schedule_to_json(routine.schedule, topo.machine_count());
-    const std::size_t payload = response_payload_size(response);
-    if (payload > kMaxPayload) {
+    response.to_canonical = std::move(served.to_canonical);
+    const std::size_t json_begin = begin_response(frame, response);
+    core::append_schedule_json(frame, served.entry->schedule,
+                               topo.machine_count(), &from_canonical);
+    if (!finish_response(frame, json_begin)) {
       // The answer exists but cannot be framed: say so, rather than let
-      // the encoder's size check blame the request as invalid.
+      // an encoder's size check blame the request as invalid. The
+      // oversized buffer is released, not kept for the next frame.
+      const std::size_t payload = frame.size() - kHeaderSize;
+      std::string().swap(frame);
       reject_counter(ErrorCode::kTooLarge).inc();
       fail_request(item.conn, request.request_id, ErrorCode::kTooLarge, 0,
                    "the " + std::to_string(topo.machine_count()) +
@@ -910,12 +936,11 @@ void Server::Impl::handle_compile(const DispatchItem& item) {
                        std::to_string(kMaxPayload) + "-byte frame limit");
       return;
     }
-    std::string bytes = encode_response(response);
     request_frame_bytes.observe(
         static_cast<double>(item.request_frame_bytes));
-    response_frame_bytes.observe(static_cast<double>(bytes.size()));
+    response_frame_bytes.observe(static_cast<double>(frame.size()));
     shard_request_seconds[shard]->observe(seconds_since(item.arrival));
-    deliver(item.conn, std::move(bytes));
+    deliver(item.conn, frame);
   } catch (const service::ServiceOverloaded& overloaded) {
     reject_counter(ErrorCode::kOverloaded).inc();
     fail_request(item.conn, request.request_id, ErrorCode::kOverloaded,

@@ -19,15 +19,16 @@ constexpr std::uint32_t kMaxRanks = 1u << 20;
 /// Offset of the header's payload_length field.
 constexpr std::size_t kPayloadLengthOffset = 16;
 
-/// Starts a frame in one buffer: the header, with a payload length that
-/// finish_frame fills in, then the payload is written behind it, so no
-/// encoder copies its payload a second time. `payload_bytes` sizes the
-/// buffer: exact for every layout but a request's neighbor block, which
-/// grows it.
+/// Starts a frame in one buffer (`buffer`'s storage, when given): the
+/// header, with a payload length that finish_frame fills in, then the
+/// payload is written behind it, so no encoder copies its payload a
+/// second time. `payload_bytes` sizes the buffer: exact for every
+/// layout but a request's neighbor block, which grows it.
 ByteWriter begin_frame(FrameType type, std::uint64_t request_id,
                        std::size_t payload_bytes,
-                       std::uint8_t version = kLegacyProtocolVersion) {
-  ByteWriter w;
+                       std::uint8_t version = kLegacyProtocolVersion,
+                       std::string buffer = {}) {
+  ByteWriter w(std::move(buffer));
   w.reserve(kHeaderSize + payload_bytes);
   w.u32(kMagic);
   w.u8(version);
@@ -39,11 +40,12 @@ ByteWriter begin_frame(FrameType type, std::uint64_t request_id,
 }
 
 std::string finish_frame(ByteWriter& w) {
-  const std::size_t payload = w.size() - kHeaderSize;
+  std::string frame = w.take();
+  const std::size_t payload = frame.size() - kHeaderSize;
   AAPC_REQUIRE(payload <= kMaxPayload,
                "frame payload of " << payload << " bytes exceeds kMaxPayload");
-  w.patch_u32(kPayloadLengthOffset, static_cast<std::uint32_t>(payload));
-  return w.take();
+  patch_u32(frame, kPayloadLengthOffset, static_cast<std::uint32_t>(payload));
+  return frame;
 }
 
 /// Re-throws payload parse failures as ProtocolError with context, so
@@ -137,9 +139,10 @@ std::size_t response_payload_size(const ResponseFrame& response) {
          response.schedule_json.size();
 }
 
-std::string encode_response(const ResponseFrame& response) {
+std::size_t begin_response(std::string& frame, const ResponseFrame& response) {
   ByteWriter w = begin_frame(FrameType::kResponse, response.request_id,
-                             response_payload_size(response));
+                             response_payload_size(response),
+                             kLegacyProtocolVersion, std::move(frame));
   w.u8(response.cache_hit ? 1 : 0);
   w.u8(response.coalesced ? 1 : 0);
   w.u8(response.stale ? 1 : 0);
@@ -151,8 +154,28 @@ std::string encode_response(const ResponseFrame& response) {
   for (const topology::Rank rank : response.to_canonical) {
     w.u32(static_cast<std::uint32_t>(rank));
   }
-  w.str(response.schedule_json);
-  return finish_frame(w);
+  w.u32(0);  // JSON length, patched by finish_response
+  frame = w.take();
+  return frame.size();
+}
+
+bool finish_response(std::string& frame, std::size_t json_begin) {
+  const std::size_t payload = frame.size() - kHeaderSize;
+  if (payload > kMaxPayload) return false;
+  patch_u32(frame, json_begin - 4,
+            static_cast<std::uint32_t>(frame.size() - json_begin));
+  patch_u32(frame, kPayloadLengthOffset, static_cast<std::uint32_t>(payload));
+  return true;
+}
+
+std::string encode_response(const ResponseFrame& response) {
+  std::string frame;
+  const std::size_t json_begin = begin_response(frame, response);
+  frame.append(response.schedule_json);
+  AAPC_REQUIRE(finish_response(frame, json_begin),
+               "frame payload of " << frame.size() - kHeaderSize
+                                   << " bytes exceeds kMaxPayload");
+  return frame;
 }
 
 std::string encode_error(const ErrorFrame& error) {

@@ -189,11 +189,22 @@ std::string encode_request(const RequestFrame& request);
 /// client puts on the wire. Kept for interoperability tests; requires
 /// an alltoall request with no neighbor sets.
 std::string encode_request_v2(const RequestFrame& request);
+/// Throws InvalidArgument when the payload exceeds kMaxPayload.
 std::string encode_response(const ResponseFrame& response);
-/// Payload bytes encode_response(response) frames. The server checks it
-/// against kMaxPayload before encoding, so an answer too large for one
-/// frame is refused as kTooLarge instead of failing in the encoder.
+/// Payload bytes encode_response(response) frames.
 std::size_t response_payload_size(const ResponseFrame& response);
+/// In-place response framing, the one place the response layout is
+/// written (encode_response is built on it). begin_response replaces
+/// `frame`'s contents, keeping its capacity, with the header and every
+/// field up to the schedule JSON (response.schedule_json is not
+/// written), and returns the offset the JSON starts at. The caller
+/// appends the JSON to `frame` (core::append_schedule_json writes it
+/// there directly); finish_response then patches the JSON and payload
+/// lengths. It returns false, leaving the frame unsendable, when the
+/// payload exceeds kMaxPayload: the server answers kTooLarge instead,
+/// where encode_response would throw and blame the request.
+std::size_t begin_response(std::string& frame, const ResponseFrame& response);
+bool finish_response(std::string& frame, std::size_t json_begin);
 std::string encode_error(const ErrorFrame& error);
 std::string encode_metrics_request(std::uint64_t request_id);
 std::string encode_metrics_response(std::uint64_t request_id,

@@ -359,22 +359,19 @@ void ScheduleService::schedule_revalidation(
   }
 }
 
-CompiledRoutine ScheduleService::finish(const Canonicalization& canon,
-                                        CompiledEntryPtr entry, bool cache_hit,
-                                        bool coalesced, std::uint64_t epoch,
-                                        Clock::time_point start) const {
-  CompiledRoutine routine;
-  const std::vector<topology::Rank> from_canonical =
-      core::invert_permutation(canon.to_canonical);
-  routine.schedule = core::relabel_schedule(entry->schedule, from_canonical);
-  routine.stale = entry->stale;
-  routine.entry = std::move(entry);
-  routine.to_canonical = canon.to_canonical;
-  routine.cache_hit = cache_hit;
-  routine.coalesced = coalesced;
-  routine.epoch = epoch;
-  routine.service_seconds = seconds_since(start);
-  return routine;
+ServedEntry ScheduleService::finish(const Canonicalization& canon,
+                                    CompiledEntryPtr entry, bool cache_hit,
+                                    bool coalesced, std::uint64_t epoch,
+                                    Clock::time_point start) const {
+  ServedEntry served;
+  served.stale = entry->stale;
+  served.entry = std::move(entry);
+  served.to_canonical = canon.to_canonical;
+  served.cache_hit = cache_hit;
+  served.coalesced = coalesced;
+  served.epoch = epoch;
+  served.service_seconds = seconds_since(start);
+  return served;
 }
 
 double ScheduleService::retry_after_hint() const {
@@ -437,6 +434,20 @@ CompiledRoutine ScheduleService::compile(
 CompiledRoutine ScheduleService::compile(
     const topology::Topology& topo, Bytes msize, const Canonicalization& canon,
     core::CollectiveKind kind, const core::SparseNeighbors& neighbors) {
+  const Clock::time_point start = Clock::now();
+  CompiledRoutine routine;
+  ServedEntry& served = routine;
+  served = serve(topo, msize, canon, kind, neighbors);
+  routine.schedule = core::relabel_schedule(
+      routine.entry->schedule, core::invert_permutation(routine.to_canonical));
+  routine.service_seconds = seconds_since(start);
+  return routine;
+}
+
+ServedEntry ScheduleService::serve(const topology::Topology& topo,
+                                   Bytes msize, const Canonicalization& canon,
+                                   core::CollectiveKind kind,
+                                   const core::SparseNeighbors& neighbors) {
   const Clock::time_point start = Clock::now();
   AAPC_REQUIRE(static_cast<std::int32_t>(canon.to_canonical.size()) ==
                    topo.machine_count(),

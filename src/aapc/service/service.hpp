@@ -16,16 +16,19 @@
 //                                request is rejected with a retry-after
 //                                hint instead of queueing unboundedly
 //
-// Compiled artifacts live in canonical rank labeling and are immutable;
-// every response rewrites the shared schedule through the caller's rank
-// permutation (core::relabel_schedule), which preserves
-// contention-freeness because the permutation comes from a tree
-// isomorphism. The per-rank programs are rewritten the same way
+// Compiled artifacts live in canonical rank labeling and are immutable.
+// serve() hands a request the shared artifact together with the
+// caller->canonical rank permutation and relabels nothing: the netd
+// front-end writes the caller-labeled schedule JSON straight from the
+// canonical schedule into its response frame
+// (core::append_schedule_json). The compile() overloads are serve()
+// plus an eager caller-labeled copy of the schedule
+// (core::relabel_schedule), for in-process callers. Relabeling
+// preserves contention-freeness because the permutation comes from a
+// tree isomorphism. The per-rank programs are rewritten the same way
 // (mpisim::relabel_program_set), but only when a caller asks for them
-// through CompiledRoutine::load_programs(): a front-end that ships the
-// schedule alone never pays for relabeling them. See docs/SERVICE.md
-// for the architecture, cache-key definition, and backpressure
-// contract.
+// through CompiledRoutine::load_programs(). See docs/SERVICE.md for the
+// architecture, cache-key definition, and backpressure contract.
 #pragma once
 
 #include <array>
@@ -89,17 +92,12 @@ struct ServiceOptions {
   bool parallel_assignment = true;
 };
 
-/// A served routine, rewritten into the caller's rank labeling. The
-/// schedule is rewritten when the routine is served; the programs only
-/// on the first load_programs() call.
-struct CompiledRoutine {
+/// What serve() hands a request: the shared canonical artifact, the
+/// caller's rank permutation and how the request was served. Nothing
+/// in it is relabeled.
+struct ServedEntry {
   /// The shared canonical artifact (schedule, sync plan, programs).
   CompiledEntryPtr entry;
-  /// Phase schedule in the caller's ranks.
-  core::Schedule schedule;
-  /// Lowered per-rank programs in the caller's ranks, memoized by
-  /// load_programs(): empty until the first call.
-  mpisim::ProgramSet programs;
   /// caller rank -> canonical rank (entry->schedule labeling).
   std::vector<topology::Rank> to_canonical;
   /// Served straight from the cache (no compilation waited on).
@@ -114,6 +112,17 @@ struct CompiledRoutine {
   std::uint64_t epoch = 0;
   /// End-to-end wall-clock latency of this request.
   double service_seconds = 0;
+};
+
+/// A served routine, rewritten into the caller's rank labeling. The
+/// schedule is rewritten when the routine is served; the programs only
+/// on the first load_programs() call.
+struct CompiledRoutine : ServedEntry {
+  /// Phase schedule in the caller's ranks.
+  core::Schedule schedule;
+  /// Lowered per-rank programs in the caller's ranks, memoized by
+  /// load_programs(): empty until the first call.
+  mpisim::ProgramSet programs;
 
   /// The lowered per-rank programs in the caller's ranks: relabels
   /// entry->programs through to_canonical on the first call, then
@@ -193,6 +202,15 @@ class ScheduleService {
                           core::CollectiveKind kind,
                           const core::SparseNeighbors& neighbors = {});
 
+  /// The entry point every compile() overload goes through: serves the
+  /// request's artifact (from cache, a coalesced compilation, or a new
+  /// one) without relabeling anything. compile() adds the caller-labeled
+  /// schedule; the netd front-end writes the caller-labeled JSON from
+  /// entry->schedule and from_canonical itself.
+  ServedEntry serve(const topology::Topology& topo, Bytes msize,
+                    const Canonicalization& canon, core::CollectiveKind kind,
+                    const core::SparseNeighbors& neighbors = {});
+
   MetricsSnapshot metrics() const;
   /// Raw registry snapshot behind metrics(), with the cache/pool
   /// mirrors freshly synced — feed this to obs::to_prometheus_text /
@@ -248,9 +266,9 @@ class ScheduleService {
                              Bytes class_bytes, std::uint64_t hash,
                              core::CollectiveKind kind,
                              const core::SparseNeighbors& neighbors);
-  CompiledRoutine finish(const Canonicalization& canon, CompiledEntryPtr entry,
-                         bool cache_hit, bool coalesced, std::uint64_t epoch,
-                         std::chrono::steady_clock::time_point start) const;
+  ServedEntry finish(const Canonicalization& canon, CompiledEntryPtr entry,
+                     bool cache_hit, bool coalesced, std::uint64_t epoch,
+                     std::chrono::steady_clock::time_point start) const;
   double retry_after_hint() const;
   void record_compile_latency(double seconds);
   /// Mirrors the cache/pool counters (owned by those components) into

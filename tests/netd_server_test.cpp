@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "aapc/common/rng.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/netd/client.hpp"
@@ -407,6 +408,110 @@ TEST(NetdServerTest, ConcurrentConnectionsAllServedExactly) {
             static_cast<double>(kClients * kRequestsEach));
 }
 
+/// The frame the server must send for `request`: encode_response of the
+/// in-process service's answer to the same topology (one shard, no churn).
+std::string expected_frame(service::ScheduleService& reference,
+                           const RequestFrame& request) {
+  const Topology topo = topology::parse_topology(request.topology_text);
+  const service::CompiledRoutine routine =
+      reference.compile(topo, request.message_bytes);
+  ResponseFrame response;
+  response.request_id = request.request_id;
+  response.cache_hit = routine.cache_hit;
+  response.canonical_hash = service::canonicalize(topo).hash;
+  response.to_canonical = routine.to_canonical;
+  response.schedule_json =
+      core::schedule_to_json(routine.schedule, topo.machine_count());
+  return encode_response(response);
+}
+
+RequestFrame fat_tree_request(std::uint64_t request_id, Rng& rng) {
+  RequestFrame request;
+  request.request_id = request_id;
+  request.message_bytes = 64_KiB;
+  request.topology_text = topology::serialize_topology(
+      shuffled_copy(topology::make_fat_tree(4, 4, 16), rng));
+  return request;
+}
+
+/// Expects `frame` to be, byte for byte, the encoded frame `expected`
+/// (the header's reserved bytes are always zero).
+void expect_frame_is(const Frame& frame, const std::string& expected) {
+  const FrameHeader header =
+      decode_header(std::string_view(expected).substr(0, kHeaderSize));
+  EXPECT_EQ(frame.header.type, header.type);
+  EXPECT_EQ(frame.header.version, header.version);
+  EXPECT_EQ(frame.header.request_id, header.request_id);
+  EXPECT_EQ(frame.header.payload_length, header.payload_length);
+  // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 620 KB.
+  EXPECT_TRUE(frame.payload == expected.substr(kHeaderSize))
+      << "payload differs from the in-process answer";
+}
+
+TEST(NetdServerTest, FatTreeMissAndHitFramesEqualTheEncodedInProcessAnswer) {
+  ServerOptions options;
+  options.shards = 1;
+  const auto server = start_server(options);
+  Client client("127.0.0.1", server->port());
+  service::ScheduleService reference;
+  Rng rng(41);
+  // The first request misses and compiles; the relabeled ones hit, and
+  // the server writes their JSON straight from the canonical schedule.
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const RequestFrame request = fat_tree_request(id, rng);
+    client.send_raw(encode_request(request));
+    const Frame frame = client.read_frame();
+    ASSERT_EQ(frame.header.type, FrameType::kResponse);
+    EXPECT_EQ(decode_response(frame).cache_hit, id > 1);
+    expect_frame_is(frame, expected_frame(reference, request));
+  }
+}
+
+TEST(NetdServerTest, PipelinedLargeResponsesAppendAndArriveWholeInOrder) {
+  ServerOptions options;
+  options.shards = 1;
+  options.event_loops = 1;
+  options.dispatch_threads = 1;
+  const auto server = start_server(options);
+  service::ScheduleService reference;
+  Rng rng(43);
+  {
+    // Warm both caches so every pipelined request is a quick hit.
+    const RequestFrame warm_request = fat_tree_request(0, rng);
+    Client warm("127.0.0.1", server->port());
+    (void)warm.compile_serialized(warm_request.topology_text, 64_KiB);
+    (void)expected_frame(reference, warm_request);
+  }
+  // 16 responses of 620 KB outgrow what loopback TCP buffers hold for
+  // a reader that reads nothing (Linux caps a send buffer at 4 MiB by
+  // default), so the server still holds the first ones in
+  // Connection::out when the later ones are delivered: those take the
+  // append branch.
+  constexpr int kPipelined = 16;
+  std::vector<RequestFrame> requests;
+  std::string burst;
+  for (int i = 1; i <= kPipelined; ++i) {
+    requests.push_back(fat_tree_request(static_cast<std::uint64_t>(i), rng));
+    burst += encode_request(requests.back());
+  }
+  Client client("127.0.0.1", server->port());
+  client.send_raw(burst);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    const obs::SeriesSnapshot* sent =
+        server->metrics_snapshot().find("aapc_netd_response_frame_bytes");
+    if ((sent != nullptr && sent->histogram.count >= 1 + kPipelined) ||
+        std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (const RequestFrame& request : requests) {
+    expect_frame_is(client.read_frame(), expected_frame(reference, request));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fabric churn (docs/NETD.md §churn): live link events over the wire.
 
@@ -420,8 +525,8 @@ std::shared_ptr<stp::BridgeNetwork> make_fabric(bool redundant_trunk = true) {
   fabric->add_bridge_link(s0, s1, 19);
   if (redundant_trunk) fabric->add_bridge_link(s0, s1, 38);
   for (int m = 0; m < 3; ++m) {
-    fabric->add_machine("a" + std::to_string(m), s0);
-    fabric->add_machine("b" + std::to_string(m), s1);
+    fabric->add_machine(str_cat("a", m), s0);
+    fabric->add_machine(str_cat("b", m), s1);
   }
   return fabric;
 }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "aapc/common/bytes.hpp"
 #include "aapc/common/rng.hpp"
 #include "aapc/common/units.hpp"
 #include "aapc/netd/wire.hpp"
@@ -24,13 +25,6 @@ namespace {
 
 void patch_u8(std::string& bytes, std::size_t offset, std::uint8_t value) {
   bytes[offset] = static_cast<char>(value);
-}
-
-void patch_u32(std::string& bytes, std::size_t offset, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    bytes[offset + static_cast<std::size_t>(i)] =
-        static_cast<char>((value >> (8 * i)) & 0xff);
-  }
 }
 
 RequestFrame sample_request() {
@@ -185,6 +179,48 @@ TEST(NetdWireTest, ResponseSizeCheckAtTheFrameLimit) {
   response.schedule_json.push_back('x');
   EXPECT_GT(response_payload_size(response), kMaxPayload);
   EXPECT_THROW((void)encode_response(response), InvalidArgument);
+}
+
+TEST(NetdWireTest, InPlaceResponseWriterReusesTheBufferItIsGiven) {
+  ResponseFrame response;
+  response.request_id = 11;
+  response.cache_hit = true;
+  response.shard = 2;
+  response.canonical_hash = 0x0123456789abcdefull;
+  response.epoch = 5;
+  response.to_canonical = {1, 2, 0};
+  const std::string json = "{\"machines\":3,\"phases\":[]}";
+  // A used buffer, as a server dispatcher hands it back: its bytes are
+  // dropped, its storage kept.
+  std::string frame(4096, 'q');
+  const char* storage = frame.data();
+  const std::size_t json_begin = begin_response(frame, response);
+  EXPECT_EQ(json_begin, kHeaderSize + response_payload_size(response));
+  frame.append(json);
+  ASSERT_TRUE(finish_response(frame, json_begin));
+  EXPECT_EQ(frame.data(), storage);
+  response.schedule_json = json;
+  EXPECT_EQ(frame, encode_response(response));
+}
+
+TEST(NetdWireTest, InPlaceResponseWriterRefusesPastTheFrameLimit) {
+  // The in-place twin of ResponseSizeCheckAtTheFrameLimit: a JSON that
+  // fills the frame exactly is framed, byte-identical to the encoder's;
+  // one byte more makes finish_response refuse, which the server turns
+  // into kTooLarge without sending the frame.
+  ResponseFrame response;
+  response.to_canonical.assign(1536, 0);
+  std::string frame;
+  const std::size_t json_begin = begin_response(frame, response);
+  frame.append(kHeaderSize + kMaxPayload - frame.size(), 'x');
+  ASSERT_TRUE(finish_response(frame, json_begin));
+  EXPECT_EQ(decode_single(frame).header.payload_length, kMaxPayload);
+  response.schedule_json.assign(frame.size() - json_begin, 'x');
+  EXPECT_TRUE(frame == encode_response(response));  // no 16 MiB diff
+
+  const std::size_t over_begin = begin_response(frame, response);
+  frame.append(kHeaderSize + kMaxPayload + 1 - frame.size(), 'x');
+  EXPECT_FALSE(finish_response(frame, over_begin));
 }
 
 TEST(NetdWireTest, ChurnEventRoundTrip) {

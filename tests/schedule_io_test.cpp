@@ -1,9 +1,11 @@
 // Tests for the JSON schedule serialization.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <sstream>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/rng.hpp"
 #include "aapc/core/collectives.hpp"
 #include "aapc/core/schedule_io.hpp"
 #include "aapc/core/scheduler.hpp"
@@ -143,7 +145,62 @@ TEST(ScheduleIoTest, MatchesTheReferenceWriter) {
   wide.kind = CollectiveKind::kSparseAlltoall;
   for (const std::int32_t machines : {-7, 0, 1, 2}) {
     EXPECT_EQ(schedule_to_json(wide, machines), reference_json(wide, machines));
+    // The same through the appending writer, behind existing bytes.
+    std::string out = "prefix";
+    append_schedule_json(out, wide, machines);
+    EXPECT_EQ(out, "prefix" + reference_json(wide, machines));
   }
+}
+
+std::vector<Rank> random_permutation(std::int32_t n, std::uint64_t seed) {
+  std::vector<Rank> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng rng(seed);
+  rng.shuffle(perm);
+  return perm;
+}
+
+// The relabeling writer netd serves hits with must ship exactly what
+// serializing the relabeled copy would, for every collective kind.
+TEST(ScheduleIoTest, RelabelingWriterMatchesTheRelabeledCopy) {
+  const Topology topo = make_fat_tree(2, 2, 30);
+  const std::int32_t n = topo.machine_count();
+  SparseNeighbors neighbors(static_cast<std::size_t>(n));
+  for (Rank r = 0; r < n; ++r) {
+    neighbors[static_cast<std::size_t>(r)] = {(r + 1) % n, (r + 7) % n};
+  }
+  const Schedule schedules[] = {
+      build_aapc_schedule(topo), build_allgather_schedule(topo),
+      build_reduce_scatter_schedule(topo),
+      build_sparse_alltoall_schedule(topo, neighbors)};
+  for (const Schedule& schedule : schedules) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const std::vector<Rank> from_canonical = random_permutation(n, seed);
+      std::string out = "head";
+      append_schedule_json(out, schedule, n, &from_canonical);
+      EXPECT_EQ(out, "head" + schedule_to_json(
+                                  relabel_schedule(schedule, from_canonical),
+                                  n))
+          << collective_kind_name(schedule.kind) << " seed " << seed;
+    }
+  }
+}
+
+TEST(ScheduleIoTest, RelabelingWriterRejectsAnUncoveredRank) {
+  const Topology topo = make_paper_figure1();
+  const Schedule schedule = build_aapc_schedule(topo);
+  std::vector<Rank> short_perm =
+      random_permutation(topo.machine_count() - 1, 5);
+  std::string out;
+  EXPECT_THROW(append_schedule_json(out, schedule, topo.machine_count(),
+                                    &short_perm),
+               InvalidArgument);
+  // A negative rank is never covered either.
+  const Schedule negative =
+      Schedule::from_phase_lists({{Message{0, -1}}});
+  const std::vector<Rank> identity{0, 1};
+  EXPECT_THROW(append_schedule_json(out, negative, 2, &identity),
+               InvalidArgument);
 }
 
 // 64-bit FNV-1a, the digest perfbench keeps of each expected answer.
@@ -175,6 +232,24 @@ TEST(ScheduleIoTest, FatTreeAllgatherBytesPinned) {
   EXPECT_EQ(json.rfind("{\"machines\":256,\"kind\":\"allgather\",", 0), 0u);
   EXPECT_EQ(json.size(), 597256u);
   EXPECT_EQ(fnv1a(json), 7862019651711202450ull);
+}
+
+// The same pinned bytes through the relabeling writer's digit tables,
+// given the identity as an explicit permutation.
+TEST(ScheduleIoTest, FatTreeBytesPinnedThroughAnIdentityPermutation) {
+  const Topology topo = make_fat_tree(4, 4, 16);
+  std::vector<Rank> identity(static_cast<std::size_t>(topo.machine_count()));
+  std::iota(identity.begin(), identity.end(), 0);
+  std::string alltoall;
+  append_schedule_json(alltoall, build_aapc_schedule(topo),
+                       topo.machine_count(), &identity);
+  EXPECT_EQ(alltoall.size(), 621303u);
+  EXPECT_EQ(fnv1a(alltoall), 3513220231403834290ull);
+  std::string allgather;
+  append_schedule_json(allgather, build_allgather_schedule(topo),
+                       topo.machine_count(), &identity);
+  EXPECT_EQ(allgather.size(), 597256u);
+  EXPECT_EQ(fnv1a(allgather), 7862019651711202450ull);
 }
 
 }  // namespace

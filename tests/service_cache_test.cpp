@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "aapc/common/strings.hpp"
 #include "aapc/service/schedule_cache.hpp"
 
 namespace aapc::service {
@@ -106,7 +107,7 @@ TEST(ScheduleCacheTest, ConcurrentMixedAccess) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const auto hash = static_cast<std::uint64_t>((t * 31 + i) % 96);
-        const std::string form = "F" + std::to_string(hash);
+        const std::string form = str_cat("F", hash);
         if (cache.get(key_of(hash), form) == nullptr) {
           cache.put(key_of(hash), entry_with_form(form));
         }

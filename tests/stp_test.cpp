@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "aapc/common/error.hpp"
+#include "aapc/common/strings.hpp"
 #include "aapc/core/scheduler.hpp"
 #include "aapc/core/verify.hpp"
 #include "aapc/stp/stp.hpp"
@@ -132,7 +133,7 @@ TEST(StpTest, ElectedTreeFeedsTheScheduler) {
   BridgeNetwork net;
   std::vector<BridgeId> bridges;
   for (int i = 0; i < 4; ++i) {
-    bridges.push_back(net.add_bridge("sw" + std::to_string(i),
+    bridges.push_back(net.add_bridge(str_cat("sw", i),
                                      static_cast<std::uint64_t>(i + 1)));
   }
   for (int i = 0; i < 4; ++i) {
@@ -142,7 +143,7 @@ TEST(StpTest, ElectedTreeFeedsTheScheduler) {
   }
   for (int i = 0; i < 4; ++i) {
     for (int m = 0; m < 3; ++m) {
-      net.add_machine("n" + std::to_string(3 * i + m), bridges[i]);
+      net.add_machine(str_cat("n", 3 * i + m), bridges[i]);
     }
   }
   const SpanningTree tree = compute_spanning_tree(net);
