@@ -14,6 +14,7 @@
 #include "aapc/service/service.hpp"
 #include "aapc/sync/sync_plan.hpp"
 #include "aapc/topology/generators.hpp"
+#include "aapc/topology/io.hpp"
 
 namespace {
 
@@ -127,6 +128,22 @@ void BM_ServiceCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceCacheHit)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
+
+// Request ingest on the netd hit path: FORMATS §1 text to a finalized
+// Topology. Arg: 0 = the 256-host make_fat_tree(4,4,16) (hit_large's
+// cluster), 1 = paper topology (b).
+void BM_ParseTopology(benchmark::State& state) {
+  const std::string text = aapc::topology::serialize_topology(
+      state.range(0) == 0 ? aapc::topology::make_fat_tree(4, 4, 16)
+                          : aapc::topology::make_paper_topology_b());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aapc::topology::parse_topology(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+  state.SetLabel(std::to_string(text.size()) + " bytes");
+}
+BENCHMARK(BM_ParseTopology)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_Decompose(benchmark::State& state) {
   const Topology topo = shaped_topology(state.range(0), 1);

@@ -52,7 +52,7 @@ std::uint32_t ByteReader::u32() {
 }
 std::uint64_t ByteReader::u64() { return read_le(8, "u64"); }
 
-std::string ByteReader::str(std::size_t max_length) {
+std::string_view ByteReader::bytes(std::size_t max_length) {
   const std::uint32_t length = u32();
   AAPC_REQUIRE(length <= max_length,
                "declared string length " << length << " exceeds the limit "
@@ -60,7 +60,7 @@ std::string ByteReader::str(std::size_t max_length) {
   AAPC_REQUIRE(length <= remaining(),
                "truncated input: string declares " << length << " bytes, "
                                                    << remaining() << " left");
-  std::string body(data_.substr(offset_, length));
+  const std::string_view body = data_.substr(offset_, length);
   offset_ += length;
   return body;
 }

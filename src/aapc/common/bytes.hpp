@@ -60,7 +60,11 @@ class ByteReader {
   std::uint64_t u64();
   /// Reads a u32 length prefix, checks it against the remaining bytes
   /// and `max_length`, then returns the string body.
-  std::string str(std::size_t max_length);
+  std::string str(std::size_t max_length) {
+    return std::string(bytes(max_length));
+  }
+  /// Same as str(), as a view into the input.
+  std::string_view bytes(std::size_t max_length);
 
   std::size_t remaining() const { return data_.size() - offset_; }
   bool done() const { return remaining() == 0; }

@@ -119,10 +119,14 @@ Frame Client::read_frame() {
     if (std::optional<Frame> frame = decoder_.next()) {
       return std::move(*frame);
     }
-    char buf[64 * 1024];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    // recv straight into the decoder, room for the whole rest of a
+    // frame whose header has arrived: its payload lands in one buffer
+    // that becomes the Frame's.
+    const std::span<char> space = decoder_.tail(
+        std::max<std::size_t>(64 * 1024, decoder_.frame_remaining()));
+    const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n > 0) {
-      decoder_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+      decoder_.commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -135,11 +139,11 @@ Frame Client::read_frame() {
 ResponseFrame Client::roundtrip(const std::string& frame_bytes,
                                 std::uint64_t request_id) {
   send_raw(frame_bytes);
-  const Frame frame = read_frame();
+  Frame frame = read_frame();
   if (frame.header.type == FrameType::kError) {
     throw RemoteError(decode_error(frame));
   }
-  ResponseFrame response = decode_response(frame);
+  ResponseFrame response = decode_response(std::move(frame));
   if (response.request_id != request_id) {
     throw ProtocolError("response for request " +
                         std::to_string(response.request_id) +

@@ -396,12 +396,12 @@ class EventLoop {
         }
         DispatchItem item;
         item.conn = conn;
-        item.request = request;
+        item.request = std::move(request);
         item.arrival = Clock::now();
         item.request_frame_bytes = kHeaderSize + frame.payload.size();
         if (!submit_to_dispatcher(std::move(item))) {
           server_->reject_counter(ErrorCode::kOverloaded).inc();
-          reply_error(conn, request.request_id, ErrorCode::kOverloaded,
+          reply_error(conn, frame.header.request_id, ErrorCode::kOverloaded,
                       server_->overload_retry_hint(),
                       "dispatch queue is full");
         }

@@ -1,5 +1,6 @@
 #include "aapc/netd/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -261,7 +262,7 @@ RequestFrame decode_request(const Frame& frame) {
   return request;
 }
 
-ResponseFrame decode_response(const Frame& frame) {
+ResponseFrame decode_response(Frame frame) {
   require_type(frame, FrameType::kResponse, "response");
   return parse_payload("response", [&] {
     ByteReader r(frame.payload);
@@ -284,8 +285,12 @@ ResponseFrame decode_response(const Frame& frame) {
       response.to_canonical.push_back(
           static_cast<topology::Rank>(r.u32()));
     }
-    response.schedule_json = r.str(kMaxPayload);
+    const std::size_t json_length = r.bytes(kMaxPayload).size();
     r.expect_done("response payload");
+    // The JSON is the payload's tail: take the buffer, drop the prefix.
+    response.schedule_json = std::move(frame.payload);
+    response.schedule_json.erase(0, response.schedule_json.size() -
+                                        json_length);
     return response;
   });
 }
@@ -413,14 +418,39 @@ FrameHeader decode_header(std::string_view bytes) {
 }
 
 void FrameDecoder::feed(std::string_view bytes) {
-  if (poisoned_) return;  // stream already unrecoverable
-  // Compact once the consumed prefix dominates, so long-lived
-  // connections do not grow the buffer without bound.
-  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-    buffer_.erase(0, consumed_);
+  const std::span<char> space = tail(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), space.begin());
+  commit(bytes.size());
+}
+
+std::span<char> FrameDecoder::tail(std::size_t min_bytes) {
+  // Slide the unconsumed bytes to the front once the consumed prefix
+  // dominates, so long-lived connections do not grow the buffer without
+  // bound, and whenever a payload is pending, so it starts at offset 0.
+  if (consumed_ > 0 && (pending_ || consumed_ >= end_ / 2)) {
+    std::copy(buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_),
+              buffer_.begin() + static_cast<std::ptrdiff_t>(end_),
+              buffer_.begin());
+    end_ -= consumed_;
     consumed_ = 0;
   }
-  buffer_.append(bytes);
+  if (buffer_.size() - end_ < min_bytes) {
+    buffer_.resize(std::max(end_ + min_bytes, 2 * buffer_.size()));
+  }
+  return {buffer_.data() + end_, buffer_.size() - end_};
+}
+
+void FrameDecoder::commit(std::size_t bytes) {
+  if (poisoned_) return;  // stream already unrecoverable
+  AAPC_CHECK(bytes <= buffer_.size() - end_);
+  end_ += bytes;
+}
+
+std::size_t FrameDecoder::frame_remaining() const {
+  const std::size_t have = end_ - consumed_;
+  return pending_ && have < pending_->payload_length
+             ? pending_->payload_length - have
+             : 0;
 }
 
 std::optional<Frame> FrameDecoder::next() {
@@ -428,21 +458,32 @@ std::optional<Frame> FrameDecoder::next() {
     throw ProtocolError("frame stream already failed; connection is "
                         "unrecoverable");
   }
-  if (buffered() < kHeaderSize) return std::nullopt;
-  FrameHeader header;
-  try {
-    header = decode_header(
-        std::string_view(buffer_).substr(consumed_, kHeaderSize));
-  } catch (const ProtocolError&) {
-    poisoned_ = true;
-    throw;
+  if (!pending_) {
+    if (end_ - consumed_ < kHeaderSize) return std::nullopt;
+    try {
+      pending_ = decode_header(
+          std::string_view(buffer_).substr(consumed_, kHeaderSize));
+    } catch (const ProtocolError&) {
+      poisoned_ = true;
+      throw;
+    }
+    consumed_ += kHeaderSize;
   }
-  if (buffered() < kHeaderSize + header.payload_length) return std::nullopt;
+  const std::size_t length = pending_->payload_length;
+  if (end_ - consumed_ < length) return std::nullopt;
   Frame frame;
-  frame.header = header;
-  frame.payload =
-      buffer_.substr(consumed_ + kHeaderSize, header.payload_length);
-  consumed_ += kHeaderSize + header.payload_length;
+  frame.header = *pending_;
+  pending_.reset();
+  if (consumed_ == 0 && end_ == length) {
+    // The buffer holds this payload and nothing else: hand it over.
+    buffer_.resize(length);
+    frame.payload = std::move(buffer_);
+    buffer_.clear();
+    end_ = 0;
+  } else {
+    frame.payload.assign(buffer_, consumed_, length);
+    consumed_ += length;
+  }
   return frame;
 }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -221,7 +222,9 @@ std::string encode_churn_ack(const ChurnAckFrame& ack);
 /// structured error frame — not ProtocolError, which would poison the
 /// connection.
 RequestFrame decode_request(const Frame& frame);
-ResponseFrame decode_response(const Frame& frame);
+/// Takes the schedule JSON out of the payload buffer, not a copy of it:
+/// pass an rvalue frame to avoid copying the payload on the way in.
+ResponseFrame decode_response(Frame frame);
 ErrorFrame decode_error(const Frame& frame);
 /// Returns the JSON payload of a kMetricsResponse frame.
 std::string decode_metrics_response(const Frame& frame);
@@ -229,13 +232,25 @@ ChurnEventFrame decode_churn_event(const Frame& frame);
 ChurnAckFrame decode_churn_ack(const Frame& frame);
 
 /// Incremental frame decoder: feed() arbitrary byte chunks as they
-/// arrive from the socket, next() yields complete frames in order.
-/// Malformed input throws ProtocolError and poisons the decoder (the
-/// connection is past saving — the stream cannot be resynchronized).
+/// arrive from the socket (or recv() straight into tail() and
+/// commit()), next() yields complete frames in order. Malformed input
+/// throws ProtocolError and poisons the decoder (the connection is past
+/// saving — the stream cannot be resynchronized).
 class FrameDecoder {
  public:
   /// Appends received bytes to the internal buffer.
   void feed(std::string_view bytes);
+
+  /// Writable space of at least `min_bytes` at the end of the buffer,
+  /// for a read straight from the socket; commit(n) then appends the
+  /// first n bytes written there. Any other call invalidates the span.
+  std::span<char> tail(std::size_t min_bytes);
+  void commit(std::size_t bytes);
+
+  /// Bytes of the current frame still to arrive once next() has parsed
+  /// its header (0 before that). Sizing tail() by it lands a large
+  /// payload in one buffer, which next() then hands over without a copy.
+  std::size_t frame_remaining() const;
 
   /// Returns the next complete frame, or nullopt when more bytes are
   /// needed. Throws ProtocolError on bad magic/version/type or a
@@ -244,11 +259,18 @@ class FrameDecoder {
 
   /// Bytes buffered but not yet returned as frames (a nonzero value at
   /// connection close means the peer hung up mid-frame).
-  std::size_t buffered() const { return buffer_.size() - consumed_; }
+  std::size_t buffered() const {
+    return end_ - consumed_ + (pending_ ? kHeaderSize : 0);
+  }
 
  private:
+  /// Received bytes are buffer_[consumed_, end_); buffer_ past end_ is
+  /// writable space. The header of a frame whose payload is incomplete
+  /// is held in pending_, so that payload can slide to offset 0.
   std::string buffer_;
   std::size_t consumed_ = 0;
+  std::size_t end_ = 0;
+  std::optional<FrameHeader> pending_;
   bool poisoned_ = false;
 };
 

@@ -1,8 +1,10 @@
 #include "aapc/topology/io.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <sstream>
+#include <vector>
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
@@ -10,53 +12,105 @@
 
 namespace aapc::topology {
 
+namespace {
+
+/// std::isspace in the C locale: space, \t, \n, \v, \f, \r.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Open-addressing map from a node name, viewed in the text being
+/// parsed, to its id: no name is copied and nothing is allocated per
+/// node. Ids are dense in insertion order, as in the Topology built
+/// alongside.
+class NameIndex {
+ public:
+  /// Indexes `name` as the next node id; false when it is taken.
+  bool insert(std::string_view name) {
+    if (2 * (names_.size() + 1) > slots_.size()) {
+      slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()),
+                    kInvalidNode);
+      for (std::size_t id = 0; id < names_.size(); ++id) {
+        slots_[slot_of(names_[id])] = static_cast<NodeId>(id);
+      }
+    }
+    NodeId& slot = slots_[slot_of(name)];
+    if (slot != kInvalidNode) return false;
+    slot = static_cast<NodeId>(names_.size());
+    names_.push_back(name);
+    return true;
+  }
+
+  /// The node named `name`, or kInvalidNode.
+  NodeId find(std::string_view name) const {
+    return slots_.empty() ? kInvalidNode : slots_[slot_of(name)];
+  }
+
+ private:
+  /// The slot holding `name`, or the empty slot it would take.
+  std::size_t slot_of(std::string_view name) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = std::hash<std::string_view>{}(name) & mask;
+    while (slots_[i] != kInvalidNode && names_[slots_[i]] != name) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  std::vector<std::string_view> names_;  // by node id
+  std::vector<NodeId> slots_;            // power-of-two size
+};
+
+}  // namespace
+
 Topology parse_topology(std::string_view text) {
   Topology topo;
-  std::map<std::string, NodeId> by_name;
+  NameIndex nodes;
+  // Links may name nodes defined further down, so they resolve after
+  // the scan, in file order, once every line has been checked.
   struct PendingLink {
-    std::string a;
-    std::string b;
+    std::string_view a;
+    std::string_view b;
     int line;
   };
   std::vector<PendingLink> links;
 
-  auto lookup = [&](const std::string& name, int line) -> NodeId {
-    const auto it = by_name.find(name);
-    AAPC_REQUIRE(it != by_name.end(),
-                 "line " << line << ": unknown node '" << name << "'");
-    return it->second;
-  };
-
   int line_number = 0;
-  for (const std::string& raw_line : split(text, '\n')) {
+  for (std::size_t begin = 0; begin <= text.size();) {
+    const std::size_t newline = std::min(text.find('\n', begin), text.size());
+    std::string_view line = text.substr(begin, newline - begin);
+    begin = newline + 1;
     ++line_number;
-    std::string line = raw_line;
-    if (const std::size_t hash = line.find('#'); hash != std::string::npos) {
-      line = line.substr(0, hash);
+    line = line.substr(0, line.find('#'));
+    // Every usage takes at most three tokens; more only need counting.
+    std::string_view tokens[3];
+    std::size_t count = 0;
+    for (std::size_t i = 0;;) {
+      while (i < line.size() && is_space(line[i])) ++i;
+      if (i == line.size()) break;
+      const std::size_t start = i;
+      while (i < line.size() && !is_space(line[i])) ++i;
+      if (count < 3) tokens[count] = line.substr(start, i - start);
+      ++count;
     }
-    const std::vector<std::string> tokens = split_whitespace(line);
-    if (tokens.empty()) continue;
-    const std::string& directive = tokens[0];
+    if (count == 0) continue;
+    const std::string_view directive = tokens[0];
     if (directive == "switch") {
-      AAPC_REQUIRE(tokens.size() == 2,
+      AAPC_REQUIRE(count == 2,
                    "line " << line_number << ": usage: switch <name>");
-      AAPC_REQUIRE(by_name.count(tokens[1]) == 0,
+      AAPC_REQUIRE(nodes.insert(tokens[1]),
                    "line " << line_number << ": duplicate node '" << tokens[1]
                            << "'");
-      by_name[tokens[1]] = topo.add_switch(tokens[1]);
+      topo.add_switch(std::string(tokens[1]));
     } else if (directive == "machine") {
-      AAPC_REQUIRE(tokens.size() == 2 || tokens.size() == 3,
+      AAPC_REQUIRE(count == 2 || count == 3,
                    "line " << line_number
                            << ": usage: machine <name> [<switch>]");
-      AAPC_REQUIRE(by_name.count(tokens[1]) == 0,
+      AAPC_REQUIRE(nodes.insert(tokens[1]),
                    "line " << line_number << ": duplicate node '" << tokens[1]
                            << "'");
-      by_name[tokens[1]] = topo.add_machine(tokens[1]);
-      if (tokens.size() == 3) {
-        links.push_back({tokens[1], tokens[2], line_number});
-      }
+      topo.add_machine(std::string(tokens[1]));
+      if (count == 3) links.push_back({tokens[1], tokens[2], line_number});
     } else if (directive == "link") {
-      AAPC_REQUIRE(tokens.size() == 3,
+      AAPC_REQUIRE(count == 3,
                    "line " << line_number << ": usage: link <a> <b>");
       links.push_back({tokens[1], tokens[2], line_number});
     } else {
@@ -64,8 +118,18 @@ Topology parse_topology(std::string_view text) {
                                     ": unknown directive '", directive, "'"));
     }
   }
+
+  auto lookup = [&](std::string_view name, int line) {
+    const NodeId node = nodes.find(name);
+    AAPC_REQUIRE(node != kInvalidNode,
+                 "line " << line << ": unknown node '" << name << "'");
+    return node;
+  };
   for (const PendingLink& link : links) {
-    topo.add_link(lookup(link.a, link.line), lookup(link.b, link.line));
+    // The second endpoint resolves first: with both undefined, the
+    // error names the second (docs/FORMATS.md §1).
+    const NodeId b = lookup(link.b, link.line);
+    topo.add_link(lookup(link.a, link.line), b);
   }
   topo.finalize();
   return topo;

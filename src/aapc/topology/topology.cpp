@@ -1,6 +1,7 @@
 #include "aapc/topology/topology.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/strings.hpp"
@@ -12,8 +13,6 @@ NodeId Topology::add_switch(std::string name) {
   const NodeId id = node_count();
   kinds_.push_back(NodeKind::kSwitch);
   names_.push_back(name.empty() ? str_cat("s", switch_count_) : std::move(name));
-  adjacency_.emplace_back();
-  adjacency_links_.emplace_back();
   rank_of_node_.push_back(-1);
   ++switch_count_;
   return id;
@@ -25,8 +24,6 @@ NodeId Topology::add_machine(std::string name) {
   kinds_.push_back(NodeKind::kMachine);
   names_.push_back(name.empty() ? str_cat("n", machine_ids_.size())
                                 : std::move(name));
-  adjacency_.emplace_back();
-  adjacency_links_.emplace_back();
   rank_of_node_.push_back(static_cast<Rank>(machine_ids_.size()));
   machine_ids_.push_back(id);
   return id;
@@ -39,10 +36,6 @@ LinkId Topology::add_link(NodeId a, NodeId b) {
   AAPC_REQUIRE(a != b, "self-link on node " << names_[a]);
   const LinkId id = link_count();
   link_endpoints_.emplace_back(a, b);
-  adjacency_[a].push_back(b);
-  adjacency_[b].push_back(a);
-  adjacency_links_[a].push_back(id);
-  adjacency_links_[b].push_back(id);
   return id;
 }
 
@@ -54,11 +47,34 @@ void Topology::finalize() {
                "a tree on " << node_count() << " nodes needs "
                             << node_count() - 1 << " links, got "
                             << link_count());
+
+  // CSR adjacency: degrees, then their running sum (each node's end
+  // offset), then the links placed back to front with pre-decrement, so
+  // every node's neighbors keep link-insertion order and adj_begin_
+  // ends up holding the start offsets.
+  adj_begin_.assign(static_cast<std::size_t>(node_count()) + 1, 0);
+  for (const auto& [a, b] : link_endpoints_) {
+    ++adj_begin_[a];
+    ++adj_begin_[b];
+  }
+  std::partial_sum(adj_begin_.begin(), adj_begin_.end(), adj_begin_.begin());
+  adj_nodes_.resize(2 * link_endpoints_.size());
+  adj_links_.resize(adj_nodes_.size());
+  for (LinkId link = link_count(); link-- > 0;) {
+    const auto [a, b] = link_endpoints_[link];
+    const std::int32_t at_a = --adj_begin_[a];
+    adj_nodes_[at_a] = b;
+    adj_links_[at_a] = link;
+    const std::int32_t at_b = --adj_begin_[b];
+    adj_nodes_[at_b] = a;
+    adj_links_[at_b] = link;
+  }
   for (NodeId node = 0; node < node_count(); ++node) {
     if (kinds_[node] == NodeKind::kMachine) {
-      AAPC_REQUIRE(adjacency_[node].size() == 1,
-                   "machine " << names_[node] << " must be a leaf with one "
-                              << "link, has " << adjacency_[node].size());
+      const std::int32_t degree = adj_begin_[node + 1] - adj_begin_[node];
+      AAPC_REQUIRE(degree == 1, "machine " << names_[node]
+                                           << " must be a leaf with one "
+                                           << "link, has " << degree);
     }
   }
 
@@ -74,10 +90,16 @@ void Topology::finalize() {
   seen[0] = 1;
   for (std::size_t head = 0; head < order.size(); ++head) {
     const NodeId u = order[head];
-    for (const NodeId v : adjacency_[u]) {
+    for (std::int32_t i = adj_begin_[u]; i < adj_begin_[u + 1]; ++i) {
+      const NodeId v = adj_nodes_[i];
       if (!seen[v]) {
         seen[v] = 1;
         parent_[v] = u;
+        // The directed edge v -> u of link L is 2L when v is its stored
+        // first endpoint, else 2L + 1.
+        const LinkId link = adj_links_[i];
+        parent_edge_[v] = link_endpoints_[link].first == v ? 2 * link
+                                                            : 2 * link + 1;
         depth_[v] = depth_[u] + 1;
         order.push_back(v);
       }
@@ -87,16 +109,6 @@ void Topology::finalize() {
                "topology is disconnected ("
                    << order.size() << " of " << node_count()
                    << " nodes reachable from " << names_[0] << ")");
-
-  // parent_edge_ from the per-node link lists (O(sum of degrees); the
-  // old per-node edge_between scan over every link was O(V * E) —
-  // seconds of finalize time at a few thousand nodes).
-  finalized_ = true;  // edge_between below requires finalized state.
-  for (NodeId v = 0; v < node_count(); ++v) {
-    if (parent_[v] != kInvalidNode) {
-      parent_edge_[v] = edge_between(v, parent_[v]);
-    }
-  }
 
   // Machines in each rooted subtree (processed leaf-up via reverse BFS
   // order).
@@ -114,16 +126,16 @@ void Topology::finalize() {
   tour_in_.assign(node_count(), 0);
   tour_out_.assign(node_count(), 0);
   std::int32_t clock = 0;
-  std::vector<std::pair<NodeId, std::size_t>> dfs;  // (node, next child)
-  dfs.emplace_back(0, 0);
+  // (node, next CSR index)
+  std::vector<std::pair<NodeId, std::int32_t>> dfs;
+  dfs.emplace_back(0, adj_begin_[0]);
   tour_in_[0] = clock++;
   while (!dfs.empty()) {
     const NodeId u = dfs.back().first;
-    std::size_t next = dfs.back().second;
-    const auto& adj = adjacency_[u];
+    std::int32_t next = dfs.back().second;
     NodeId child = kInvalidNode;
-    while (next < adj.size()) {
-      const NodeId v = adj[next++];
+    while (next < adj_begin_[u + 1]) {
+      const NodeId v = adj_nodes_[next++];
       if (v != parent_[u]) {
         child = v;
         break;
@@ -132,17 +144,13 @@ void Topology::finalize() {
     dfs.back().second = next;
     if (child != kInvalidNode) {
       tour_in_[child] = clock++;
-      dfs.emplace_back(child, 0);
+      dfs.emplace_back(child, adj_begin_[child]);
     } else {
       tour_out_[u] = clock;
       dfs.pop_back();
     }
   }
-
-  name_index_.reserve(names_.size());
-  for (NodeId v = 0; v < node_count(); ++v) {
-    name_index_.emplace(names_[v], v);
-  }
+  finalized_ = true;
 }
 
 NodeKind Topology::kind(NodeId node) const {
@@ -155,12 +163,7 @@ const std::string& Topology::name(NodeId node) const {
   return names_[node];
 }
 
-std::optional<NodeId> Topology::find_node(const std::string& name) const {
-  if (finalized_) {
-    const auto it = name_index_.find(name);
-    if (it == name_index_.end()) return std::nullopt;
-    return it->second;
-  }
+std::optional<NodeId> Topology::find_node(std::string_view name) const {
   for (NodeId node = 0; node < node_count(); ++node) {
     if (names_[node] == name) return node;
   }
@@ -181,9 +184,11 @@ Rank Topology::rank_of(NodeId machine) const {
   return rank_of_node_[machine];
 }
 
-const std::vector<NodeId>& Topology::neighbors(NodeId node) const {
+std::span<const NodeId> Topology::neighbors(NodeId node) const {
+  require_finalized();
   require_valid_node(node);
-  return adjacency_[node];
+  return {adj_nodes_.data() + adj_begin_[node],
+          adj_nodes_.data() + adj_begin_[node + 1]};
 }
 
 std::pair<NodeId, NodeId> Topology::link_endpoints(LinkId link) const {
@@ -192,15 +197,12 @@ std::pair<NodeId, NodeId> Topology::link_endpoints(LinkId link) const {
 }
 
 EdgeId Topology::edge_between(NodeId from, NodeId to) const {
+  require_finalized();
   require_valid_node(from);
   require_valid_node(to);
-  // O(degree(from)) via the per-node link lists; the old scan over every
-  // link made finalize()'s parent_edge_ pass O(V * E).
-  const auto& adj = adjacency_[from];
-  const auto& links = adjacency_links_[from];
-  for (std::size_t i = 0; i < adj.size(); ++i) {
-    if (adj[i] != to) continue;
-    const LinkId link = links[i];
+  for (std::int32_t i = adj_begin_[from]; i < adj_begin_[from + 1]; ++i) {
+    if (adj_nodes_[i] != to) continue;
+    const LinkId link = adj_links_[i];
     return (link_endpoints_[link].first == from) ? 2 * link : 2 * link + 1;
   }
   throw InvalidArgument(str_cat("nodes ", names_[from], " and ", names_[to],

@@ -6,12 +6,20 @@
 // `Topology` is immutable after `finalize()`: all path/load queries are
 // precomputed or O(path length). Machines are also addressable by *rank*
 // (0..|M|-1, the MPI process numbering) independent of node ids.
+//
+// Adjacency is stored as CSR arrays built once by `finalize()`: one
+// offset per node into flat neighbor and link arrays, filled in link
+// insertion order, so `neighbors()` is a `std::span` over contiguous
+// ids and a node's neighbors come in the order its links were added.
+// There is no name index: `find_node` is an O(nodes) scan (tests and
+// diagnostics only; parse_topology resolves names itself).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "aapc/common/units.hpp"
@@ -80,14 +88,16 @@ class Topology {
     return kind(node) == NodeKind::kMachine;
   }
   const std::string& name(NodeId node) const;
-  std::optional<NodeId> find_node(const std::string& name) const;
+  /// O(nodes) scan by name.
+  std::optional<NodeId> find_node(std::string_view name) const;
 
   /// Machines in rank order.
   const std::vector<NodeId>& machines() const { return machine_ids_; }
   NodeId machine_node(Rank rank) const;
   Rank rank_of(NodeId machine) const;
 
-  const std::vector<NodeId>& neighbors(NodeId node) const;
+  /// Neighbors in link-insertion order. Requires a finalized topology.
+  std::span<const NodeId> neighbors(NodeId node) const;
 
   // ---- links and directed edges ----
 
@@ -95,6 +105,7 @@ class Topology {
   std::pair<NodeId, NodeId> link_endpoints(LinkId link) const;
 
   /// Directed edge from `from` to `to`; the nodes must be adjacent.
+  /// Requires a finalized topology; O(degree(from)).
   EdgeId edge_between(NodeId from, NodeId to) const;
 
   NodeId edge_source(EdgeId edge) const;
@@ -166,10 +177,6 @@ class Topology {
 
   std::vector<NodeKind> kinds_;
   std::vector<std::string> names_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  /// adjacency_links_[n][i] is the link to adjacency_[n][i] (same
-  /// shape), so edge_between is O(degree) instead of O(links).
-  std::vector<std::vector<LinkId>> adjacency_links_;
   std::vector<std::pair<NodeId, NodeId>> link_endpoints_;
   std::vector<NodeId> machine_ids_;         // rank -> node
   std::vector<Rank> rank_of_node_;          // node -> rank or -1
@@ -177,6 +184,11 @@ class Topology {
 
   // Populated by finalize().
   bool finalized_ = false;
+  /// CSR adjacency: node n's neighbors are adj_nodes_[adj_begin_[n] ..
+  /// adj_begin_[n + 1]), and adj_links_[i] is the link to adj_nodes_[i].
+  std::vector<std::int32_t> adj_begin_;
+  std::vector<NodeId> adj_nodes_;
+  std::vector<LinkId> adj_links_;
   std::vector<NodeId> parent_;
   std::vector<EdgeId> parent_edge_;         // edge node -> parent
   std::vector<std::int32_t> depth_;
@@ -187,7 +199,6 @@ class Topology {
   /// turned aapc_load into O(links * depth) — quadratic on chains).
   std::vector<std::int32_t> tour_in_;
   std::vector<std::int32_t> tour_out_;
-  std::unordered_map<std::string, NodeId> name_index_;
 };
 
 }  // namespace aapc::topology

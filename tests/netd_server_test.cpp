@@ -499,8 +499,9 @@ TEST(NetdServerTest, PipelinedLargeResponsesAppendAndArriveWholeInOrder) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   for (;;) {
+    const obs::RegistrySnapshot snapshot = server->metrics_snapshot();
     const obs::SeriesSnapshot* sent =
-        server->metrics_snapshot().find("aapc_netd_response_frame_bytes");
+        snapshot.find("aapc_netd_response_frame_bytes");
     if ((sent != nullptr && sent->histogram.count >= 1 + kPipelined) ||
         std::chrono::steady_clock::now() > deadline) {
       break;

@@ -7,9 +7,11 @@
 // or yield a half-parsed frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -355,6 +357,53 @@ TEST(NetdWireTest, ByteByByteDeliveryYieldsIntactFrames) {
   EXPECT_EQ(decode_request(frames[0]).topology_text, request.topology_text);
   EXPECT_EQ(frames[1].header.type, FrameType::kMetricsRequest);
   EXPECT_EQ(decoder.buffered(), 0u);
+}
+
+TEST(NetdWireTest, TailReadsHandOverTheLargePayload) {
+  // The client's path: recv straight into tail(), sized by
+  // frame_remaining() once the header is parsed. The payload then lands
+  // at offset 0 of one buffer, which becomes the Frame's payload, and
+  // decode_response takes the JSON out of it: the result must equal the
+  // copying decode, for one large frame and for a small frame pipelined
+  // behind it.
+  ResponseFrame large;
+  large.request_id = 9;
+  large.to_canonical = {1, 0, 2};
+  large.schedule_json.assign(300000, 'x');
+  large.schedule_json.front() = '{';
+  large.schedule_json.back() = '}';
+  ResponseFrame small = large;
+  small.request_id = 10;
+  small.schedule_json = "{}";
+  const std::string stream = encode_response(large) + encode_response(small);
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  std::size_t sent = 0;
+  while (frames.size() < 2) {
+    if (std::optional<Frame> frame = decoder.next()) {
+      frames.push_back(std::move(*frame));
+      continue;
+    }
+    ASSERT_LT(sent, stream.size());
+    const std::span<char> space =
+        decoder.tail(std::max<std::size_t>(4096, decoder.frame_remaining()));
+    // A read returns at most what was asked, and at most 64 KiB.
+    const std::size_t n = std::min({space.size(), stream.size() - sent,
+                                    std::size_t{64} << 10});
+    std::copy_n(stream.data() + sent, n, space.data());
+    decoder.commit(n);
+    sent += n;
+  }
+  EXPECT_EQ(decoder.buffered(), 0u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const ResponseFrame& sent_frame = i == 0 ? large : small;
+    const ResponseFrame copied = decode_response(frames[i]);
+    const ResponseFrame moved = decode_response(std::move(frames[i]));
+    EXPECT_EQ(moved.request_id, sent_frame.request_id);
+    EXPECT_EQ(moved.to_canonical, sent_frame.to_canonical);
+    EXPECT_EQ(moved.schedule_json, sent_frame.schedule_json);
+    EXPECT_EQ(copied.schedule_json, sent_frame.schedule_json);
+  }
 }
 
 TEST(NetdWireTest, MidFrameStateIsVisible) {

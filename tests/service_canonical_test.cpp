@@ -16,6 +16,7 @@
 #include "aapc/core/verify.hpp"
 #include "aapc/service/canonical.hpp"
 #include "aapc/topology/generators.hpp"
+#include "aapc/topology/io.hpp"
 
 namespace aapc::service {
 namespace {
@@ -82,6 +83,39 @@ TEST(CanonicalTest, PaperTopologiesRoundTrip) {
     // Isomorphism invariants carry over.
     EXPECT_EQ(rebuilt.aapc_load(), topo.aapc_load());
   }
+}
+
+/// FNV-1a 64 over the values of an id vector.
+template <typename Id>
+std::uint64_t digest(const std::vector<Id>& ids) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Id id : ids) {
+    h = (h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(id))) *
+        0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(CanonicalTest, FatTree256Pinned) {
+  // Pinned bytes of the 256-host make_fat_tree(4,4,16): its canonical
+  // hash (the cache key), and the permutations of one fixed relabeling
+  // of it read back through parse_topology, recorded before Topology's
+  // adjacency became CSR arrays and the parser a one-pass scan. The
+  // schedule bytes of the same cluster are pinned in schedule_io_test.
+  const Topology fat = topology::make_fat_tree(4, 4, 16);
+  const Canonicalization canon = canonicalize(fat);
+  EXPECT_EQ(canon.hash, 0xcaa7a8c44344b99dull);
+  EXPECT_EQ(canon.canonical_form.size(), 319u);
+  Rng rng(15);
+  std::vector<Rank> rank_map;
+  const Topology relabeled = topology::parse_topology(
+      topology::serialize_topology(random_relabel(fat, rng, &rank_map)));
+  const Canonicalization again = canonicalize(relabeled);
+  EXPECT_EQ(again.hash, canon.hash);
+  EXPECT_EQ(again.canonical_form, canon.canonical_form);
+  EXPECT_EQ(digest(canon.to_canonical), 0x4242dc5249c33625ull);
+  EXPECT_EQ(digest(again.to_canonical), 0x67c2783bba480b9bull);
+  EXPECT_EQ(digest(again.link_to_canonical), 0x75f55a08f87b754full);
 }
 
 TEST(CanonicalTest, TinyTopologies) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "aapc/common/error.hpp"
 #include "aapc/common/rng.hpp"
@@ -270,6 +271,53 @@ TEST(TopologyGeneratorTest, FindNode) {
   EXPECT_TRUE(topo.find_node("s3").has_value());
   EXPECT_TRUE(topo.find_node("n31").has_value());
   EXPECT_FALSE(topo.find_node("bogus").has_value());
+}
+
+TEST(TopologyAdjacencyTest, NeighborsRequireFinalized) {
+  Topology topo;
+  const NodeId s = topo.add_switch();
+  const NodeId m = topo.add_machine();
+  topo.add_link(s, m);
+  EXPECT_THROW((void)topo.neighbors(s), InvalidArgument);
+  EXPECT_THROW((void)topo.edge_between(s, m), InvalidArgument);
+  // find_node scans names and needs no finalize().
+  EXPECT_EQ(topo.find_node("n0"), m);
+  topo.finalize();
+  ASSERT_EQ(topo.neighbors(s).size(), 1u);
+  EXPECT_EQ(topo.neighbors(s)[0], m);
+}
+
+TEST(TopologyAdjacencyTest, NeighborOrderIsLinkInsertionOrder) {
+  // Links added in an order unrelated to node ids: each node lists its
+  // neighbors in the order its links were added, from either endpoint.
+  Topology topo;
+  const NodeId core = topo.add_switch("core");
+  const NodeId edge = topo.add_switch("edge");
+  const NodeId m0 = topo.add_machine();
+  const NodeId m1 = topo.add_machine();
+  const NodeId m2 = topo.add_machine();
+  const NodeId m3 = topo.add_machine();
+  topo.add_link(m2, core);
+  topo.add_link(edge, m3);
+  topo.add_link(core, m0);
+  topo.add_link(core, edge);
+  topo.add_link(m1, edge);
+  topo.finalize();
+  const auto list = [&](NodeId node) {
+    const auto span = topo.neighbors(node);
+    return std::vector<NodeId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(list(core), (std::vector<NodeId>{m2, m0, edge}));
+  EXPECT_EQ(list(edge), (std::vector<NodeId>{m3, core, m1}));
+  EXPECT_EQ(list(m2), (std::vector<NodeId>{core}));
+  // The CSR link column agrees with the stored endpoints.
+  for (NodeId node = 0; node < topo.node_count(); ++node) {
+    for (const NodeId peer : topo.neighbors(node)) {
+      const EdgeId e = topo.edge_between(node, peer);
+      EXPECT_EQ(topo.edge_source(e), node);
+      EXPECT_EQ(topo.edge_target(e), peer);
+    }
+  }
 }
 
 }  // namespace
